@@ -10,21 +10,16 @@ Carlo, and exact enumeration cross-check one another.
 from .frame import (
     expected_area_frame,
     frame_point,
-    frame_sum_poly,
     side_case_value,
 )
 from .geometry import (
     CubeDomain,
-    Orientation,
     Point2,
-    Point3,
     RectDomain,
-    orientation,
     signed_area,
     signed_area_exact,
     signed_area_xy,
-    signed_volume_tetra,
-    triangle_area,
+    signed_volume_xyz,
 )
 from .lattice import (
     MidpointLattice,
@@ -39,8 +34,6 @@ from .montecarlo import (
     InteriorTriangle,
     Problem,
     estimate,
-    sample_frame,
-    sample_interior,
 )
 from .quadrature import (
     DegenerateRegionError,

@@ -202,10 +202,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    value = enumerate_mean_area(args.n, symmetry=args.symmetry)
+    value = enumerate_mean_area(args.n)
     record = RunRecord(
         command="lattice",
-        parameters={"n": args.n, "symmetry": args.symmetry},
+        parameters={"n": args.n},
         results=[
             {
                 "n": args.n,
@@ -279,11 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lattice = sub.add_parser("lattice", help="exact midpoint-lattice enumeration")
     lattice.add_argument("--n", type=int, required=True, help="subdivisions per side")
-    lattice.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="fix the first vertex to the bottom side and weight by 4",
-    )
     lattice.set_defaults(func=_cmd_lattice)
 
     report = sub.add_parser("report", help="run the full acceptance suite")

@@ -23,10 +23,10 @@ from .geometry import Point2, signed_area_xy
 from .quadrature import QuadConfig, _budget_shares, adaptive_quad_batch
 
 __all__ = [
+    "SIDE_CASE_FORMS",
     "expected_area_frame",
     "frame_point",
     "frame_xy",
-    "frame_sum_poly",
     "side_case_value",
 ]
 
@@ -36,6 +36,14 @@ _SIDES = {
     2: ((1.0, 0.0), (0.0, 1.0)),  # right, upward
     3: ((1.0, 1.0), (-1.0, 0.0)),  # top, leftward
     4: ((0.0, 1.0), (0.0, -1.0)),  # left, downward
+}
+
+# closed form of side_case_value(case, x1) for each side case
+SIDE_CASE_FORMS = {
+    1: lambda x: 0.5 - x + x * x,
+    2: lambda x: (11 - 8 * x + 3 * x * x) / 12,
+    3: lambda x: (11 - 6 * x + 6 * x * x) / 12,
+    4: lambda x: (6 + 2 * x + 3 * x * x) / 12,
 }
 
 
@@ -121,37 +129,48 @@ def _check_x1(x1: float) -> float:
     return x1
 
 
+def _side_sweep(
+    cases: tuple[int, ...],
+    x1: np.ndarray,
+    rel_tol: float,
+    max_depth: int,
+    quarter_turns: int = 0,
+):
+    """Integrals over the second vertex's coordinate u in [0, 1], one per x1.
+
+    The integrand sums, over the second vertex's sides ``cases`` and the
+    third vertex's four sides, the closed-form path integral of |area|.
+    Returns adaptive_quad_batch's (value, err, ok) arrays.
+    """
+
+    def f(ids: np.ndarray, u: np.ndarray):
+        x = x1[ids]
+        vals = np.zeros_like(u)
+        for case in cases:
+            for p3_side in (1, 2, 3, 4):
+                vals += _pair_kernel(case, p3_side, x, u, quarter_turns)
+        return vals, np.zeros_like(vals), np.ones(u.size, dtype=bool)
+
+    return adaptive_quad_batch(
+        f,
+        np.zeros(x1.size),
+        np.ones(x1.size),
+        rel_tol=rel_tol,
+        max_depth=max_depth,
+    )
+
+
 def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> float:
     """Double path integral of |area| for one hosting side of the second vertex.
 
     Integrates over the second vertex's coordinate on side ``case`` and the
     third vertex over the full perimeter, with the first vertex at (x1, 0).
-    Always nonnegative.  The four cases have the closed forms
-    1/2 - x1 + x1**2, (11 - 8 x1 + 3 x1**2)/12, (11 - 6 x1 + 6 x1**2)/12,
-    and (6 + 2 x1 + 3 x1**2)/12.
+    Always nonnegative; the closed forms are SIDE_CASE_FORMS.
     """
     _check_case(case)
     x1 = _check_x1(x1)
-
-    def f(ids: np.ndarray, u: np.ndarray):
-        vals = np.zeros_like(u)
-        for p3_side in (1, 2, 3, 4):
-            vals += _pair_kernel(case, p3_side, x1, u)
-        return vals, np.zeros_like(vals), np.ones(u.size, dtype=bool)
-
-    value, _, _ = adaptive_quad_batch(
-        f,
-        np.array([0.0]),
-        np.array([1.0]),
-        rel_tol=cfg.rel_tol,
-        max_depth=cfg.max_depth,
-    )
+    value, _, _ = _side_sweep((case,), np.array([x1]), cfg.rel_tol, cfg.max_depth)
     return float(value[0])
-
-
-def frame_sum_poly(x1: float, cfg: QuadConfig = QuadConfig()) -> float:
-    """Sum of the four side cases at fixed x1; equals 17/6 - 2 x1 + 2 x1**2."""
-    return sum(side_case_value(case, x1, cfg) for case in (1, 2, 3, 4))
 
 
 def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> float:
@@ -162,23 +181,11 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
     configuration, which preserves areas exactly up to rounding).
     """
     _check_case(p1_side)
-    quarter_turns = p1_side - 1
     budgets = cfg.rel_tol * _budget_shares(2)
 
     def outer(ids: np.ndarray, x1: np.ndarray):
-        def inner(jds: np.ndarray, u: np.ndarray):
-            vals = np.zeros_like(u)
-            for case in (1, 2, 3, 4):
-                for p3_side in (1, 2, 3, 4):
-                    vals += _pair_kernel(case, p3_side, x1[jds], u, quarter_turns)
-            return vals, np.zeros_like(vals), np.ones(u.size, dtype=bool)
-
-        return adaptive_quad_batch(
-            inner,
-            np.zeros(x1.size),
-            np.ones(x1.size),
-            rel_tol=budgets[1],
-            max_depth=cfg.max_depth,
+        return _side_sweep(
+            (1, 2, 3, 4), x1, budgets[1], cfg.max_depth, quarter_turns=p1_side - 1
         )
 
     value, _, _ = adaptive_quad_batch(

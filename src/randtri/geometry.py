@@ -1,13 +1,13 @@
-"""Planar and spatial primitives: signed areas, orientation, tetrahedron volume.
+"""Planar and spatial primitives: signed areas and tetrahedron volume.
 
 Everything here is a pure function of its arguments.  Floating-point
 variants work in plain binary64; the exact variant accepts ``Fraction``
-coordinates and never rounds, which the lattice enumeration relies on.
+coordinates and never rounds, which makes it the reference the tests
+hold the floating-point formula to.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,16 +19,12 @@ Coord = Union[int, float, Fraction]
 __all__ = [
     "Coord",
     "CubeDomain",
-    "Orientation",
     "Point2",
-    "Point3",
     "RectDomain",
-    "orientation",
     "signed_area",
     "signed_area_exact",
     "signed_area_xy",
-    "signed_volume_tetra",
-    "triangle_area",
+    "signed_volume_xyz",
 ]
 
 
@@ -49,20 +45,6 @@ class Point2:
     def __post_init__(self) -> None:
         _check_finite(self.x, "x")
         _check_finite(self.y, "y")
-
-
-@dataclass(frozen=True, slots=True)
-class Point3:
-    """Spatial point with finite coordinates."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        _check_finite(self.x, "x")
-        _check_finite(self.y, "y")
-        _check_finite(self.z, "z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,18 +73,16 @@ class CubeDomain:
             raise ValueError(f"cube side must be positive, got {self.side}")
 
 
-class Orientation(enum.Enum):
-    CCW = 1
-    CW = -1
-    COLLINEAR = 0
-
-
 def signed_area(p1: Point2, p2: Point2, p3: Point2) -> float:
     """Signed area (x1(y2-y3) + x2(y3-y1) + x3(y1-y2)) / 2.
 
-    Positive exactly when (p1, p2, p3) run counter-clockwise.  Antisymmetric
-    under any transposition of its arguments, to the last bit: a swap negates
-    each product term exactly, so the rounded sum negates exactly too.
+    Positive exactly when (p1, p2, p3) run counter-clockwise.  Swapping p1
+    and p2 negates the result to the last bit: it negates each product term
+    exactly and only exchanges the first two terms, and floating-point
+    addition is commutative.  Other vertex orders change which terms are
+    added first, so they agree with the matching sign only to within
+    rounding.  Scaling every coordinate by a power of two scales the result
+    by its square exactly, provided no intermediate falls below 2**-1022.
     """
     return 0.5 * (
         p1.x * (p2.y - p3.y) + p2.x * (p3.y - p1.y) + p3.x * (p1.y - p2.y)
@@ -118,6 +98,18 @@ def signed_area_xy(x1, y1, x2, y2, x3, y3):
     return 0.5 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
 
 
+def signed_volume_xyz(x1, y1, z1, x2, y2, z2, x3, y3, z3, x4, y4, z4):
+    """Signed tetrahedron volume det[p2-p1, p3-p1, p4-p1] / 6 on raw coordinates.
+
+    Broadcasts over numpy arrays, like signed_area_xy.
+    """
+    ax, ay, az = x2 - x1, y2 - y1, z2 - z1
+    bx, by, bz = x3 - x1, y3 - y1, z3 - z1
+    cx, cy, cz = x4 - x1, y4 - y1, z4 - z1
+    det = ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx) + az * (bx * cy - by * cx)
+    return det / 6.0
+
+
 def signed_area_exact(p1: Point2, p2: Point2, p3: Point2) -> Fraction:
     """Signed area over exact rational coordinates; no rounding anywhere."""
     raw = (
@@ -126,32 +118,3 @@ def signed_area_exact(p1: Point2, p2: Point2, p3: Point2) -> Fraction:
         + Fraction(p3.x) * (Fraction(p1.y) - Fraction(p2.y))
     )
     return raw / 2
-
-
-def triangle_area(p1: Point2, p2: Point2, p3: Point2) -> float:
-    """Absolute triangle area; invariant under all six vertex orders."""
-    return abs(signed_area(p1, p2, p3))
-
-
-def orientation(p1: Point2, p2: Point2, p3: Point2) -> Orientation:
-    """Classify the vertex order by the raw sign of the signed area.
-
-    The zero test is exact equality: points this close to collinear sit on a
-    measure-zero set for every consumer in this package, so no tolerance is
-    wanted.
-    """
-    s = signed_area(p1, p2, p3)
-    if s > 0:
-        return Orientation.CCW
-    if s < 0:
-        return Orientation.CW
-    return Orientation.COLLINEAR
-
-
-def signed_volume_tetra(p1: Point3, p2: Point3, p3: Point3, p4: Point3) -> float:
-    """Signed tetrahedron volume det[p2-p1, p3-p1, p4-p1] / 6."""
-    ax, ay, az = p2.x - p1.x, p2.y - p1.y, p2.z - p1.z
-    bx, by, bz = p3.x - p1.x, p3.y - p1.y, p3.z - p1.z
-    cx, cy, cz = p4.x - p1.x, p4.y - p1.y, p4.z - p1.z
-    det = ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx) + az * (bx * cy - by * cx)
-    return det / 6.0

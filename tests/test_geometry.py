@@ -6,21 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from randtri.geometry import (
     CubeDomain,
-    Orientation,
     Point2,
-    Point3,
     RectDomain,
-    orientation,
     signed_area,
     signed_area_exact,
     signed_area_xy,
-    signed_volume_tetra,
-    triangle_area,
+    signed_volume_xyz,
 )
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -37,6 +33,15 @@ def _noise(x1, y1, x2, y2, x3, y3):
     return 8.0 * np.spacing(scale)
 
 
+def _has_subnormal_step(x1, y1, x2, y2, x3, y3):
+    # every value signed_area forms on the way to its result, inputs included
+    d1, d2, d3 = y2 - y3, y3 - y1, y1 - y2
+    t1, t2, t3 = x1 * d1, x2 * d2, x3 * d3
+    steps = (x1, y1, x2, y2, x3, y3, d1, d2, d3, t1, t2, t3, t1 + t2,
+             t1 + t2 + t3, 0.5 * (t1 + t2 + t3))
+    return any(0.0 < abs(v) < 2.0**-1022 for v in steps)
+
+
 class TestExamples:
     def test_unit_right_triangle(self):
         assert signed_area(Point2(0, 0), Point2(1, 0), Point2(0, 1)) == 0.5
@@ -48,36 +53,22 @@ class TestExamples:
         assert signed_area(Point2(0, 0), Point2(1, 1), Point2(2, 2)) == 0.0
 
     def test_area_of_half_unit_square(self):
-        assert triangle_area(Point2(0, 0), Point2(1, 0), Point2(1, 1)) == 0.5
+        assert signed_area(Point2(0, 0), Point2(1, 0), Point2(1, 1)) == 0.5
 
     def test_repeated_vertex_has_zero_area(self):
         p = Point2(0.3, 0.7)
-        assert triangle_area(p, p, Point2(1, 0)) == 0.0
-
-    def test_orientation_cases(self):
-        assert orientation(Point2(0, 0), Point2(1, 0), Point2(0, 1)) is Orientation.CCW
-        assert orientation(Point2(0, 0), Point2(0, 1), Point2(1, 0)) is Orientation.CW
-        assert (
-            orientation(Point2(0, 0), Point2(1, 1), Point2(2, 2))
-            is Orientation.COLLINEAR
-        )
+        assert signed_area(p, p, Point2(1, 0)) == 0.0
 
     def test_corner_tetrahedron_volume(self):
-        v = signed_volume_tetra(
-            Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0), Point3(0, 0, 1)
-        )
+        v = signed_volume_xyz(0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1)
         assert math.isclose(v, 1.0 / 6.0, rel_tol=1e-15)
 
     def test_coplanar_tetrahedron_is_flat(self):
-        v = signed_volume_tetra(
-            Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0), Point3(1, 1, 0)
-        )
-        assert v == 0.0
+        assert signed_volume_xyz(0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0) == 0.0
 
     def test_tetra_vertex_swap_negates(self):
-        pts = (Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0), Point3(0, 0, 1))
-        a, b, c, d = pts
-        assert signed_volume_tetra(a, c, b, d) == -signed_volume_tetra(a, b, c, d)
+        a, b, c, d = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        assert signed_volume_xyz(*a, *c, *b, *d) == -signed_volume_xyz(*a, *b, *c, *d)
 
 
 class TestExactRational:
@@ -113,7 +104,7 @@ class TestValidation:
 
     def test_point_rejects_inf(self):
         with pytest.raises(ValueError):
-            Point3(0.0, float("inf"), 0.0)
+            Point2(0.0, float("inf"))
 
     def test_point_is_frozen(self):
         p = Point2(1.0, 2.0)
@@ -159,31 +150,23 @@ class TestInvariants:
         assert abs(moved - base) <= tol
 
     @given(*six, st.sampled_from([0.25, 0.5, 2.0, 8.0, 1024.0]))
+    @example(0.0, 2.225073858507e-311, 0.0, 0.0, 1.5, 0.0, 2.0)  # subnormal product
     def test_power_of_two_scaling_is_exact(self, x1, y1, x2, y2, x3, y3, lam):
+        # exact unless some step of either evaluation falls below 2**-1022,
+        # where a product rounds to the subnormal grid
         base = signed_area(Point2(x1, y1), Point2(x2, y2), Point2(x3, y3))
         scaled = signed_area(
             Point2(lam * x1, lam * y1),
             Point2(lam * x2, lam * y2),
             Point2(lam * x3, lam * y3),
         )
-        assert scaled == lam * lam * base
+        assert (
+            scaled == lam * lam * base
+            or _has_subnormal_step(x1, y1, x2, y2, x3, y3)
+            or _has_subnormal_step(lam * x1, lam * y1, lam * x2, lam * y2,
+                                   lam * x3, lam * y3)
+        )
 
-    @given(*six)
-    def test_area_is_absolute_signed_area(self, x1, y1, x2, y2, x3, y3):
-        p1, p2, p3 = Point2(x1, y1), Point2(x2, y2), Point2(x3, y3)
-        assert triangle_area(p1, p2, p3) == abs(signed_area(p1, p2, p3))
-
-    @given(*six)
-    def test_orientation_tracks_sign(self, x1, y1, x2, y2, x3, y3):
-        p1, p2, p3 = Point2(x1, y1), Point2(x2, y2), Point2(x3, y3)
-        s = signed_area(p1, p2, p3)
-        o = orientation(p1, p2, p3)
-        if s > 0:
-            assert o is Orientation.CCW
-        elif s < 0:
-            assert o is Orientation.CW
-        else:
-            assert o is Orientation.COLLINEAR
 
 
 class TestVectorized:
@@ -211,10 +194,6 @@ class TestVectorized:
     def test_volume_bound_in_cube(self):
         rng = np.random.default_rng(78)
         pts = rng.uniform(0.0, 1.0, size=(2_000, 12))
-        vols = [
-            signed_volume_tetra(
-                Point3(*row[0:3]), Point3(*row[3:6]), Point3(*row[6:9]), Point3(*row[9:12])
-            )
-            for row in pts
-        ]
-        assert max(abs(v) for v in vols) <= 1.0 / 3.0 + 1e-12
+        vols = signed_volume_xyz(*pts.T)
+        assert vols.shape == (2_000,)
+        assert np.abs(vols).max() <= 1.0 / 3.0 + 1e-12

@@ -73,9 +73,9 @@ class TestEnumeration:
     def test_largest_frozen_value(self):
         assert enumerate_mean_area(40, work_limit=10**9) == FROZEN[40]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10])
-    def test_symmetry_shortcut_is_exact(self, n):
-        assert enumerate_mean_area(n, symmetry=True) == enumerate_mean_area(n)
+    def test_closed_form_in_n(self):
+        for n in range(1, 61):
+            assert enumerate_mean_area(n) == Fraction(5, 32) - Fraction(1, 16 * n * n)
 
     def test_refinement_approaches_continuum_mean(self):
         target = Fraction(5, 32)

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from randtri.geometry import CubeDomain, RectDomain
@@ -12,8 +11,6 @@ from randtri.montecarlo import (
     FrameTriangle,
     InteriorTriangle,
     estimate,
-    sample_frame,
-    sample_interior,
 )
 
 # frozen outputs of estimate(problem, 10_000, seed=12345, chunks=8); these
@@ -108,39 +105,6 @@ class TestStatistics:
     def test_variance_positive_and_bounded(self):
         res = estimate(PROBLEMS["frame"], 10_000, seed=2, chunks=4)
         assert 0.0 < res.variance < 0.25  # |area| <= 1/2 caps the variance
-
-
-class TestSamplers:
-    def test_interior_points_fill_the_rectangle(self):
-        rng = np.random.default_rng(21)
-        dom = RectDomain(2.0, 0.5)
-        pts = sample_interior(rng, dom, size=100_000)
-        assert pts.shape == (100_000, 2)
-        assert pts[:, 0].min() >= 0.0 and pts[:, 0].max() <= 2.0
-        assert pts[:, 1].min() >= 0.0 and pts[:, 1].max() <= 0.5
-        # mean of a uniform coordinate is the midpoint
-        se = 2.0 / math.sqrt(12.0) / math.sqrt(100_000)
-        assert abs(pts[:, 0].mean() - 1.0) <= 5.0 * se
-
-    def test_interior_single_point(self):
-        rng = np.random.default_rng(22)
-        p = sample_interior(rng, RectDomain(1.0, 1.0))
-        assert 0.0 <= p.x <= 1.0 and 0.0 <= p.y <= 1.0
-
-    def test_frame_points_sit_on_the_boundary(self):
-        rng = np.random.default_rng(23)
-        pts = sample_frame(rng, size=100_000)
-        x, y = pts[:, 0], pts[:, 1]
-        on_edge = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
-        assert on_edge.all()
-        # each side carries a quarter of the arc length
-        bottom = (y == 0.0).mean()
-        assert abs(bottom - 0.25) <= 5.0 * math.sqrt(0.25 * 0.75 / 100_000)
-
-    def test_frame_single_point(self):
-        rng = np.random.default_rng(24)
-        p = sample_frame(rng)
-        assert p.x in (0.0, 1.0) or p.y in (0.0, 1.0)
 
 
 class TestValidation:
