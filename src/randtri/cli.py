@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 accuracy or acceptance failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -39,9 +41,6 @@ EXIT_OK = 0
 EXIT_ACCURACY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-_RECT_NAMES = tuple(f"I{k}" for k in range(1, 6)) + tuple(f"J{k}" for k in range(1, 6))
-
 
 @dataclasses.dataclass(frozen=True)
 class RunRecord:
@@ -117,20 +116,40 @@ def _resolve_regions(name: str, a: float, b: float):
     raise UnknownNameError(f"unknown region {name!r}")
 
 
+def _check_references(names: list[str], a: float, b: float) -> None:
+    """Reject a domain on which an exact reference rounds to 0 or overflows."""
+    for name in names:
+        try:
+            value = float(exact_reference(name, a, b))
+        except OverflowError:
+            value = math.inf
+        if value == 0.0 or math.isinf(value):
+            raise ValueError(
+                f"domain a={a}, b={b}: the exact {name} does not fit a binary64 float"
+            )
+
+
 def _cmd_quad(args: argparse.Namespace) -> int:
     RectDomain(args.a, args.b)  # reject bad domains before any work
     cfg = QuadConfig(rel_tol=args.rel_tol, max_depth=args.max_depth)
+    summed = args.region == "all"
+    if summed:
+        regions = rectangle_regions(args.a, args.b) + normalizer_regions(args.a, args.b)
+    else:
+        regions = _resolve_regions(args.region, args.a, args.b)
+    names = [r.name for r in regions] + (["I15", "J15", "RESULT"] if summed else [])
+    _check_references(names, args.a, args.b)
     t0 = time.perf_counter()
     rows = []
-    if args.region == "all":
-        results = {}
-        for region in rectangle_regions(args.a, args.b) + normalizer_regions(args.a, args.b):
-            res = nested_quadrature(region, cfg)
-            results[res.name] = res
-            rows.append(
-                _quad_row(res.name, res.value, res.est_error, res.evaluations,
-                          res.converged, args.a, args.b)
-            )
+    results = {}
+    for region in regions:
+        res = nested_quadrature(region, cfg)
+        results[res.name] = res
+        rows.append(
+            _quad_row(res.name, res.value, res.est_error, res.evaluations,
+                      res.converged, args.a, args.b)
+        )
+    if summed:
         i_sum = sum(results[f"I{k}"].value for k in range(1, 6))
         j_sum = sum(results[f"J{k}"].value for k in range(1, 6))
         i_err = sum(results[f"I{k}"].est_error for k in range(1, 6))
@@ -144,13 +163,6 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         rows.append(
             _quad_row("RESULT", i_sum / j_sum, ratio_err, evals, conv, args.a, args.b)
         )
-    else:
-        for region in _resolve_regions(args.region, args.a, args.b):
-            res = nested_quadrature(region, cfg)
-            rows.append(
-                _quad_row(res.name, res.value, res.est_error, res.evaluations,
-                          res.converged, args.a, args.b)
-            )
     record = RunRecord(
         command="quad",
         parameters={
@@ -222,25 +234,35 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _open_out(path: str | None):
+    """Open the report file up front, so a bad path fails before any work."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    rows, all_pass = run_report()
-    record = RunRecord(
-        command="report",
-        parameters={"out": args.out},
-        results=rows,
-        wall_time_s=time.perf_counter() - t0,
-        version=__version__,
-    )
-    _emit(record)
-    if args.out:
-        payload = {
-            "version": __version__,
-            "all_pass": all_pass,
-            "wall_time_s": record.wall_time_s,
-            "criteria": rows,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_out(args.out) as fh:
+        t0 = time.perf_counter()
+        rows, all_pass = run_report()
+        record = RunRecord(
+            command="report",
+            parameters={"out": args.out},
+            results=rows,
+            wall_time_s=time.perf_counter() - t0,
+            version=__version__,
+        )
+        _emit(record)
+        if fh is not None:
+            payload = {
+                "version": __version__,
+                "all_pass": all_pass,
+                "wall_time_s": record.wall_time_s,
+                "criteria": rows,
+            }
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return EXIT_OK if all_pass else EXIT_ACCURACY

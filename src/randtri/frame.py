@@ -37,6 +37,10 @@ _SIDES = {
     3: ((1.0, 1.0), (-1.0, 0.0)),  # top, leftward
     4: ((0.0, 1.0), (0.0, -1.0)),  # left, downward
 }
+# the same table as arrays indexed by side - 1, for frame_xy
+_ANCHOR_X, _ANCHOR_Y, _STEP_X, _STEP_Y = np.array(
+    [(*anchor, *step) for anchor, step in _SIDES.values()]
+).T
 
 # closed form of side_case_value(case, x1) for each side case
 SIDE_CASE_FORMS = {
@@ -69,9 +73,7 @@ def frame_xy(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("perimeter parameters must be in [0, 4)")
     k = np.floor(t).astype(np.int64)
     u = t - k
-    x = np.select([k == 0, k == 1, k == 2], [u, 1.0, 1.0 - u], default=0.0)
-    y = np.select([k == 0, k == 1, k == 2], [0.0, u, 1.0], default=1.0 - u)
-    return x, y
+    return _ANCHOR_X[k] + _STEP_X[k] * u, _ANCHOR_Y[k] + _STEP_Y[k] * u
 
 
 def _rotate(x, y, quarter_turns: int):

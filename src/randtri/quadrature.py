@@ -1,9 +1,10 @@
 """Iterated adaptive quadrature for chained-bound multiple integrals.
 
-The engine evaluates a 6-fold integral as a chain of one-dimensional
-adaptive Gauss-Kronrod (G7/K15) integrations, outermost first, where each
-level's bounds may depend on every variable bound further out.  Two design
-points matter for speed and robustness:
+The engine evaluates a 6-fold integral over a region as a chain of
+one-dimensional adaptive Gauss-Kronrod (G7/K15) integrations over x1, y1,
+x2 and y2, outermost first, where each level's bounds may depend on every
+variable bound further out; a closed-form kernel does the x3 and y3
+integrals.  Two design points matter for speed and robustness:
 
 * **Batching.**  A level never integrates one integral at a time.  All
   integrals pending at a level (one per quadrature node of the enclosing
@@ -23,12 +24,11 @@ total relative budget is split geometrically across levels, outermost
 largest.  Summation order inside each integral is fixed (panels sorted by
 position), so results do not depend on refinement history bookkeeping.
 
-The two innermost integrals of a signed-area region have a closed form:
-the integrand is affine in y3, and after integrating y3 between bounds
-affine in x3 the result is a polynomial of degree <= 2 in x3.  With
-``inner_analytic`` enabled (the default) those two levels are folded into
-the numeric kernel via a 2-point Gauss rule, which is exact for that
-degree, leaving four numeric levels.
+The kernel is the closed form for fixed p1 and p2: the integrand (signed
+area or 1) is affine in y3, and its integral between y3 bounds affine in
+x3 is a polynomial of degree <= 2 in x3, which a 2-point Gauss rule in x3
+integrates exactly.  ``RegionSpec`` checks that the y3 bounds are affine
+when it is built.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .regions import (
-    AffineBound,
     Integrand,
     RegionSpec,
     normalizer_regions,
@@ -95,13 +94,11 @@ class QuadConfig:
     """Tolerance and effort controls for one nested quadrature run.
 
     rel_tol is the target relative error of the full multiple integral;
-    max_depth caps adaptive bisection per level; inner_analytic folds the
-    two innermost integrals into the closed-form kernel.
+    max_depth caps adaptive bisection per level.
     """
 
     rel_tol: float = 1e-4
     max_depth: int = 12
-    inner_analytic: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
@@ -132,7 +129,6 @@ def adaptive_quad_batch(
     hi: np.ndarray,
     *,
     rel_tol: float,
-    abs_tol: float = _ABS_FLOOR,
     max_depth: int = 12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptively integrate a batch of 1-D integrals with one integrand.
@@ -183,7 +179,7 @@ def adaptive_quad_batch(
         totals = np.bincount(ids, weights=val, minlength=m)
         err_sums = np.bincount(ids, weights=err, minlength=m)
         counts = np.maximum(np.bincount(ids, minlength=m), 1)
-        tol = np.maximum(rel_tol * np.abs(totals), abs_tol)
+        tol = np.maximum(rel_tol * np.abs(totals), _ABS_FLOOR)
         needy = (err_sums > tol) & ~frozen
 
         # split every panel of a needy integral whose error exceeds an
@@ -251,21 +247,16 @@ def _broadcast(value, m: int) -> np.ndarray:
 def _analytic_kernel(
     region: RegionSpec, counter: _EvalCounter
 ) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    """Fold the x3 and y3 integrals into a closed-form pointwise kernel.
+    """Closed-form kernel for the x3 and y3 integrals at each (x1, y1, x2, y2).
 
-    The y3 integral of the signed area has the primitive of an affine
-    function; the result is a polynomial of degree <= 2 in x3 whenever the
-    y3 bounds are affine in x3 (always true in the catalog), so a 2-point
-    Gauss rule in x3 is exact.  Interval clamping (empty => 0) only ever
-    triggers within rounding error of a region edge.
+    The integrand is affine in y3, so its y3 integral is a primitive
+    evaluated at the two y3 bounds; those bounds are affine in x3, which
+    makes the result a polynomial of degree <= 2 in x3 and a 2-point Gauss
+    rule in x3 exact.  Interval clamping (empty => 0) only ever triggers
+    within rounding error of a region edge.
     """
     _, x3_lo, x3_hi = region.vars[4]
     _, y3_lo, y3_hi = region.vars[5]
-    if not (isinstance(y3_lo, AffineBound) and isinstance(y3_hi, AffineBound)):
-        raise TypeError(
-            "inner_analytic requires y3 bounds affine in x3; "
-            "rebuild the region with AffineBound or disable inner_analytic"
-        )
     signed = region.integrand is Integrand.SIGNED_AREA
     sign = float(region.sign)
 
@@ -295,26 +286,6 @@ def _analytic_kernel(
     return kernel
 
 
-def _direct_kernel(
-    region: RegionSpec, counter: _EvalCounter
-) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    signed = region.integrand is Integrand.SIGNED_AREA
-    sign = float(region.sign)
-
-    def kernel(env: Mapping[str, np.ndarray]) -> np.ndarray:
-        m = env["x1"].shape[0]
-        counter.n += m
-        if not signed:
-            return np.full(m, sign)
-        x1, y1, x2, y2 = env["x1"], env["y1"], env["x2"], env["y2"]
-        x3, y3 = env["x3"], env["y3"]
-        return sign * 0.5 * (
-            x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2)
-        )
-
-    return kernel
-
-
 def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> RegionResult:
     """Evaluate one region of the catalog by iterated adaptive quadrature.
 
@@ -330,12 +301,8 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     slivers.
     """
     counter = _EvalCounter()
-    if cfg.inner_analytic and region.integrand in (Integrand.SIGNED_AREA, Integrand.ONE):
-        levels = region.vars[:4]
-        kernel = _analytic_kernel(region, counter)
-    else:
-        levels = region.vars
-        kernel = _direct_kernel(region, counter)
+    levels = region.vars[:4]
+    kernel = _analytic_kernel(region, counter)
 
     budgets = cfg.rel_tol * _budget_shares(len(levels))
 

@@ -22,9 +22,9 @@ divided by the unit-integrand sum (the measure of the ordered half, one
 sixth of the full configuration volume).
 
 Bounds are callables of the already-bound outer variables, vectorized
-over numpy arrays.  The innermost (y3) bounds are affine in x3 and carry
-their coefficient functions explicitly, which lets the quadrature engine
-fold the last two integrals into a closed form.
+over numpy arrays.  The innermost (y3) bounds must be AffineBound, affine
+in x3 with explicit coefficient functions, which lets the quadrature
+engine do the last two integrals in closed form.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 import numpy as np
+
+from .geometry import RectDomain
 
 __all__ = [
     "AffineBound",
@@ -86,8 +88,9 @@ class RegionSpec:
     """One integration cell: six chained variable bounds, a sign, an integrand.
 
     ``vars`` holds (name, lower, upper) triples in nesting order, outermost
-    first; names are fixed to x1, y1, x2, y2, x3, y3.  On a well-formed
-    cell, sign * signed_area >= 0 almost everywhere.
+    first; names are fixed to x1, y1, x2, y2, x3, y3, and both y3 bounds
+    are AffineBound.  On a well-formed cell, sign * signed_area >= 0 almost
+    everywhere.
     """
 
     name: str
@@ -103,6 +106,9 @@ class RegionSpec:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if not isinstance(self.integrand, Integrand):
             raise TypeError(f"integrand must be an Integrand, got {self.integrand!r}")
+        _, y3_lo, y3_hi = self.vars[5]
+        if not (isinstance(y3_lo, AffineBound) and isinstance(y3_hi, AffineBound)):
+            raise TypeError("y3 bounds must be AffineBound (affine in x3)")
 
 
 def _lift(value: float) -> BoundFn:
@@ -123,17 +129,11 @@ def _var(name: str) -> BoundFn:
     return bound
 
 
-def _check_domain(a: float, b: float) -> tuple[float, float]:
-    a, b = float(a), float(b)
-    if not a > 0 or not b > 0:
-        raise ValueError(f"domain sides must be positive, got a={a}, b={b}")
-    return a, b
-
-
 def _ascending_cells(
-    a: float, b: float, integrand: Integrand, prefix: str
+    domain: RectDomain, integrand: Integrand, prefix: str
 ) -> list[RegionSpec]:
     """The five cells with y2 > y1 (chord rising left to right)."""
+    a, b = domain.a, domain.b
 
     def corner_height(env: Env):
         # the line from p1 to the corner (a, b), evaluated at x2; above it
@@ -169,7 +169,7 @@ def _ascending_cells(
 
 
 def _descending_cells(
-    a: float, b: float, integrand: Integrand, prefix: str
+    domain: RectDomain, integrand: Integrand, prefix: str
 ) -> list[RegionSpec]:
     """The five cells with y2 < y1, numbered 6..10.
 
@@ -177,6 +177,7 @@ def _descending_cells(
     cells: 6<->4, 7<->5, 8<->1, 9<->2, 10<->3 (the mirror flips the sign
     of the area, so above/below roles swap).
     """
+    a, b = domain.a, domain.b
 
     def corner_height(env: Env):
         # the line from p1 to the corner (a, 0); above it the chord exits
@@ -236,8 +237,7 @@ def rectangle_regions(a: float, b: float) -> list[RegionSpec]:
     Their signed sum over a rectangle a x b is 11*(a*b)**4/1728; dividing
     by the matching normalizer sum gives the mean area 11*a*b/144.
     """
-    a, b = _check_domain(a, b)
-    return _ascending_cells(a, b, Integrand.SIGNED_AREA, "I")
+    return _ascending_cells(RectDomain(float(a), float(b)), Integrand.SIGNED_AREA, "I")
 
 
 def normalizer_regions(a: float, b: float) -> list[RegionSpec]:
@@ -246,8 +246,7 @@ def normalizer_regions(a: float, b: float) -> list[RegionSpec]:
     Each evaluates to the (positive) measure of its cell; the five sum to
     (a*b)**3/12, half the ordered-configuration volume.
     """
-    a, b = _check_domain(a, b)
-    return _ascending_cells(a, b, Integrand.ONE, "J")
+    return _ascending_cells(RectDomain(float(a), float(b)), Integrand.ONE, "J")
 
 
 def square_regions(a: float) -> list[RegionSpec]:
@@ -257,17 +256,17 @@ def square_regions(a: float) -> list[RegionSpec]:
     aliasing the ascending five, so the mirror identities (I6=I4, I7=I5,
     I8=I1, I9=I2, I10=I3) are genuine cross-checks.
     """
-    a, _ = _check_domain(a, a)
-    return _ascending_cells(a, a, Integrand.SIGNED_AREA, "I") + _descending_cells(
-        a, a, Integrand.SIGNED_AREA, "I"
+    square = RectDomain(float(a), float(a))
+    return _ascending_cells(square, Integrand.SIGNED_AREA, "I") + _descending_cells(
+        square, Integrand.SIGNED_AREA, "I"
     )
 
 
 def square_normalizer_regions(a: float) -> list[RegionSpec]:
     """Unit-integrand twins J1..J10 of the square cells; they sum to a**6/6."""
-    a, _ = _check_domain(a, a)
-    return _ascending_cells(a, a, Integrand.ONE, "J") + _descending_cells(
-        a, a, Integrand.ONE, "J"
+    square = RectDomain(float(a), float(a))
+    return _ascending_cells(square, Integrand.ONE, "J") + _descending_cells(
+        square, Integrand.ONE, "J"
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -21,6 +20,7 @@ from .frame import SIDE_CASE_FORMS, expected_area_frame, side_case_value
 from .geometry import signed_area_xy
 from .lattice import enumerate_mean_area
 from .montecarlo import (
+    TETRA_MEAN,
     CubeTetrahedron,
     FrameTriangle,
     InteriorTriangle,
@@ -156,8 +156,7 @@ def _monte_carlo_consistency() -> Verdict:
     problems = (
         ("interior", InteriorTriangle(), exact_reference("RESULT")),
         ("frame", FrameTriangle(), _FRAME_MEAN),
-        # 3977/216000 - pi^2/2160: Zinani 2003; MathWorld "Cube Tetrahedron Picking"
-        ("tetra", CubeTetrahedron(), 3977 / 216000 - math.pi**2 / 2160),
+        ("tetra", CubeTetrahedron(), TETRA_MEAN),
     )
     lines = []
     ok = True

@@ -5,12 +5,14 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import randtri
 from randtri import __version__
 from randtri.cli import main
 
@@ -30,6 +32,18 @@ def run_cli(argv, tty=False):
         except SystemExit as exc:  # argparse paths
             code = exc.code if isinstance(exc.code, int) else 0
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(*argv):
+    """Run `python -m randtri` on the package these tests imported."""
+    src = str(Path(randtri.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "randtri", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_json(argv):
@@ -88,8 +102,12 @@ class TestQuad:
         assert code == 2 and "K1" in err
 
     def test_bad_domain_is_usage_error(self):
-        code, _, _ = run_cli(["quad", "--a", "0"])
-        assert code == 2
+        # the last two domains put exact references below or above binary64
+        for domain in (["--a", "0"], ["--a", "1e-300", "--b", "1e-300"],
+                       ["--a", "1e200", "--b", "1e200"]):
+            code, _, err = run_cli(["quad", *domain])
+            assert code == 2, domain
+            assert err.startswith("error:"), domain
 
     def test_bad_tolerance_is_usage_error(self):
         code, _, _ = run_cli(["quad", "--rel-tol", "2"])
@@ -206,14 +224,20 @@ class TestReport:
         assert saved["version"] == __version__
         assert saved["criteria"] == rec["results"]
 
+    def test_unwritable_out_fails_before_any_criterion(self, tmp_path, monkeypatch):
+        def no_report():
+            raise AssertionError("the report ran")
+
+        monkeypatch.setattr("randtri.cli.run_report", no_report)
+        code, out, err = run_cli(["report", "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "missing" in err
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "randtri", "lattice", "--n", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("lattice", "--n", "2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"][0]["mean"] == "9/64"
 
@@ -234,12 +258,8 @@ class TestEntryPoints:
     def test_subprocess_byte_determinism_across_threads(self):
         outputs = []
         for threads in ("1", "4"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "randtri", "mc", "--problem", "frame",
-                 "--n", "100000", "--seed", "7", "--chunks", "32",
-                 "--threads", threads],
-                capture_output=True,
-            )
+            proc = run_module("mc", "--problem", "frame", "--n", "100000",
+                              "--seed", "7", "--chunks", "32", "--threads", threads)
             assert proc.returncode == 0
             outputs.append(json.loads(proc.stdout)["results"])
         assert json.dumps(outputs[0]) == json.dumps(outputs[1])

@@ -35,6 +35,8 @@ class TestParametrization:
     def test_known_positions(self, t, x, y):
         p = frame_point(t)
         assert (p.x, p.y) == (x, y)
+        xs, ys = frame_xy(np.array([t]))
+        assert (xs[0], ys[0]) == (x, y)
 
     @pytest.mark.parametrize("bad", [-0.1, 4.0, 5.0, float("nan")])
     def test_rejects_out_of_range(self, bad):

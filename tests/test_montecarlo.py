@@ -6,6 +6,7 @@ import pytest
 
 from randtri.geometry import CubeDomain, RectDomain
 from randtri.montecarlo import (
+    TETRA_MEAN,
     CubeTetrahedron,
     EstimateResult,
     FrameTriangle,
@@ -84,7 +85,7 @@ class TestStatistics:
 
     def test_tetrahedron_band(self):
         res = estimate(PROBLEMS["tetra"], 1_000_000, seed=7)
-        assert 0.0132 <= res.mean <= 0.0146
+        assert abs(res.mean - TETRA_MEAN) <= 5.0 * res.stderr
 
     def test_stderr_shrinks_like_root_n(self):
         for label in ("interior", "frame", "tetra"):

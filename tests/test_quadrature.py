@@ -173,7 +173,7 @@ class TestAdaptiveBatch:
 class TestConfig:
     def test_defaults(self):
         cfg = QuadConfig()
-        assert cfg.rel_tol == 1e-4 and cfg.max_depth == 12 and cfg.inner_analytic
+        assert cfg.rel_tol == 1e-4 and cfg.max_depth == 12
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
     def test_rejects_bad_rel_tol(self, bad):
@@ -192,12 +192,6 @@ class TestNested:
         assert res.converged
         assert math.isclose(res.value, 1.0, rel_tol=1e-10)
 
-    def test_unit_box_volume_direct_mode(self):
-        cfg = QuadConfig(inner_analytic=False)
-        res = nested_quadrature(box_region("box", Integrand.ONE, UNIT_SPANS), cfg)
-        assert res.converged
-        assert math.isclose(res.value, 1.0, rel_tol=1e-10)
-
     def test_ordered_chain_volume(self):
         # 0 <= v1 <= v2 <= ... <= v6 <= 1 has volume 1/720
         rows = []
@@ -211,10 +205,9 @@ class TestNested:
                 rows.append((var, (lambda env, p=prev: env[p]), const(1.0)))
             prev = var
         region = RegionSpec(name="chain", vars=tuple(rows), sign=1, integrand=Integrand.ONE)
-        for cfg in (QuadConfig(), QuadConfig(inner_analytic=False)):
-            res = nested_quadrature(region, cfg)
-            assert res.converged
-            assert math.isclose(res.value, 1.0 / 720.0, rel_tol=1e-9)
+        res = nested_quadrature(region)
+        assert res.converged
+        assert math.isclose(res.value, 1.0 / 720.0, rel_tol=1e-9)
 
     def test_signed_area_cancels_over_symmetric_box(self):
         region = box_region("sym", Integrand.SIGNED_AREA, UNIT_SPANS)
@@ -229,22 +222,14 @@ class TestNested:
         y3_hi = AffineBound(const(0.0), const(1.0))
         region = box_region("hand", Integrand.SIGNED_AREA, spans, y3_hi=y3_hi)
         truth = -1.0 / 192.0
-        for cfg in (QuadConfig(), QuadConfig(inner_analytic=False)):
-            res = nested_quadrature(region, cfg)
-            assert res.converged
-            assert abs(res.value - truth) <= 1e-10
+        res = nested_quadrature(region)
+        assert res.converged
+        assert abs(res.value - truth) <= 1e-10
 
     def test_analytic_requires_affine_inner_bounds(self):
-        spans = [(0.0, 1.0)] * 6
-        rows = [
-            (var, const(lo), const(hi))
-            for var, (lo, hi) in zip(VAR_ORDER, [(0.0, 1.0)] * 6)
-        ]
-        region = RegionSpec(name="plainy3", vars=tuple(rows), sign=1, integrand=Integrand.ONE)
+        rows = tuple((var, const(0.0), const(1.0)) for var in VAR_ORDER)
         with pytest.raises(TypeError, match="affine"):
-            nested_quadrature(region)
-        res = nested_quadrature(region, QuadConfig(inner_analytic=False))
-        assert math.isclose(res.value, 1.0, rel_tol=1e-10)
+            RegionSpec(name="plainy3", vars=rows, sign=1, integrand=Integrand.ONE)
 
     def test_degenerate_outer_interval_raises(self):
         spans = [(1.0, 0.0)] + [(0.0, 1.0)] * 5
@@ -279,13 +264,6 @@ class TestNested:
         assert r1.value == r2.value
         assert r1.est_error == r2.est_error
         assert r1.evaluations == r2.evaluations
-
-    def test_analytic_mode_needs_fewer_evaluations(self):
-        cell = rectangle_regions(1.0, 1.0)[0]
-        fast = nested_quadrature(cell, QuadConfig(rel_tol=1e-3))
-        slow = nested_quadrature(cell, QuadConfig(rel_tol=1e-3, inner_analytic=False))
-        assert fast.evaluations < slow.evaluations
-        assert abs(fast.value - slow.value) <= 1e-3 * abs(slow.value) * 2.0
 
     def test_evaluate_regions_preserves_order(self):
         cells = rectangle_regions(1.0, 1.0)

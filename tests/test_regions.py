@@ -81,6 +81,8 @@ class TestCatalogStructure:
             rectangle_regions(0.0, 1.0)
         with pytest.raises(ValueError):
             square_regions(-2.0)
+        with pytest.raises(ValueError, match="finite"):
+            rectangle_regions(float("inf"), 1.0)
 
     def test_spec_rejects_wrong_variable_names(self):
         rows = tuple(
