@@ -182,12 +182,20 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    used = {"interior": ("a", "b"), "frame": (), "tetra": ("a",)}[args.problem]
+    sides = {}
+    for side in ("a", "b"):
+        value = getattr(args, side)
+        if side in used:
+            sides[side] = 1.0 if value is None else value
+        elif value is not None:
+            raise ValueError(f"--{side} does not apply to --problem {args.problem}")
     if args.problem == "interior":
-        problem = InteriorTriangle(RectDomain(args.a, args.b))
+        problem = InteriorTriangle(RectDomain(sides["a"], sides["b"]))
     elif args.problem == "frame":
         problem = FrameTriangle()
     else:
-        problem = CubeTetrahedron(CubeDomain(args.a))
+        problem = CubeTetrahedron(CubeDomain(sides["a"]))
     t0 = time.perf_counter()
     result = estimate(
         problem, args.n, seed=args.seed, chunks=args.chunks, threads=args.threads
@@ -200,8 +208,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "chunks": args.chunks,
             "threads": args.threads,
-            "a": args.a,
-            "b": args.b,
+            **sides,
         },
         results=[dataclasses.asdict(result)],
         wall_time_s=time.perf_counter() - t0,
@@ -295,8 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--chunks", type=int, default=64)
     mc.add_argument("--threads", type=int, default=None)
-    mc.add_argument("--a", type=float, default=1.0, help="rectangle width or cube side")
-    mc.add_argument("--b", type=float, default=1.0, help="rectangle height")
+    mc.add_argument("--a", type=float, default=None,
+                    help="rectangle width (interior) or cube side (tetra); default 1")
+    mc.add_argument("--b", type=float, default=None,
+                    help="rectangle height (interior only); default 1")
     mc.set_defaults(func=_cmd_mc)
 
     lattice = sub.add_parser("lattice", help="exact midpoint-lattice enumeration")

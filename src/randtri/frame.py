@@ -142,7 +142,7 @@ def _side_sweep(
 
     The integrand sums, over the second vertex's sides ``cases`` and the
     third vertex's four sides, the closed-form path integral of |area|.
-    Returns adaptive_quad_batch's (value, err, ok) arrays.
+    Returns adaptive_quad_batch's (value, err) arrays.
     """
 
     def f(ids: np.ndarray, u: np.ndarray):
@@ -151,7 +151,7 @@ def _side_sweep(
         for case in cases:
             for p3_side in (1, 2, 3, 4):
                 vals += _pair_kernel(case, p3_side, x, u, quarter_turns)
-        return vals, np.zeros_like(vals), np.ones(u.size, dtype=bool)
+        return vals, np.zeros_like(vals)
 
     return adaptive_quad_batch(
         f,
@@ -171,7 +171,7 @@ def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> flo
     """
     _check_case(case)
     x1 = _check_x1(x1)
-    value, _, _ = _side_sweep((case,), np.array([x1]), cfg.rel_tol, cfg.max_depth)
+    value, _ = _side_sweep((case,), np.array([x1]), cfg.rel_tol, cfg.max_depth)
     return float(value[0])
 
 
@@ -190,7 +190,7 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
             (1, 2, 3, 4), x1, budgets[1], cfg.max_depth, quarter_turns=p1_side - 1
         )
 
-    value, _, _ = adaptive_quad_batch(
+    value, _ = adaptive_quad_batch(
         outer,
         np.array([0.0]),
         np.array([1.0]),

@@ -77,21 +77,23 @@ def midpoint_lattice(n: int) -> MidpointLattice:
     return MidpointLattice(n=n, points=tuple(points))
 
 
-def enumerate_mean_area(n: int, *, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
+def enumerate_mean_area(n: int) -> Fraction:
     """Exact mean of |area| over all ordered vertex triples of the lattice.
 
     The first vertex sweeps the bottom side only and the sum is weighted
     by 4: a quarter turn maps the lattice onto itself and keeps every
     area, so the other three sides contribute the same as the bottom.
-    Raises WorkLimitExceededError when the (4n)**3 ordered triples of the
-    full enumeration exceed ``work_limit``.
+    Raises WorkLimitExceededError, before building anything, when the
+    (4n)**3 ordered triples of the full enumeration exceed
+    DEFAULT_WORK_LIMIT (so n <= 116), and ValueError when n < 1.
     """
-    lattice = midpoint_lattice(n)
     m = 4 * n
-    if m**3 > work_limit:
+    if m**3 > DEFAULT_WORK_LIMIT:
         raise WorkLimitExceededError(
-            f"(4*{n})**3 = {m**3:,} ordered triples exceeds the limit {work_limit:,}"
+            f"(4*{n})**3 = {m**3:,} ordered triples exceeds the limit "
+            f"{DEFAULT_WORK_LIMIT:,}"
         )
+    lattice = midpoint_lattice(n)
     scale = 2 * n
     xs = np.array([int(p.x * scale) for p in lattice.points], dtype=np.int64)
     ys = np.array([int(p.y * scale) for p in lattice.points], dtype=np.int64)

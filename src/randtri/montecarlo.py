@@ -118,10 +118,9 @@ def _draw_values(problem: Problem, rng: np.random.Generator, count: int) -> np.n
         x2, y2 = frame_xy(t[:, 1])
         x3, y3 = frame_xy(t[:, 2])
         return np.abs(signed_area_xy(x1, y1, x2, y2, x3, y3))
-    if isinstance(problem, CubeTetrahedron):
-        q = rng.random((count, 12)) * problem.domain.side
-        return np.abs(signed_volume_xyz(*q.T))
-    raise TypeError(f"unknown problem kind: {problem!r}")
+    # CubeTetrahedron: estimate admits no other kind
+    q = rng.random((count, 12)) * problem.domain.side
+    return np.abs(signed_volume_xyz(*q.T))
 
 
 def _merge(n_a: int, mean_a: float, m2_a: float, n_b: int, mean_b: float, m2_b: float):
@@ -169,22 +168,17 @@ def estimate(
         raise ValueError(f"need 1 <= chunks <= n, got chunks={chunks}, n={n}")
     if threads is not None and threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
-    _draw_values(problem, _substream(seed, 0), 1)  # reject unknown kinds early
+    if not isinstance(problem, Problem):
+        raise TypeError(f"unknown problem kind: {problem!r}")
 
     base, extra = divmod(n, chunks)
     sizes = [base + (1 if i < extra else 0) for i in range(chunks)]
     workers = threads if threads is not None else min(chunks, os.cpu_count() or 1)
 
-    if workers == 1:
-        parts = [_chunk_moments(problem, sizes[i], seed, i) for i in range(chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda i: _chunk_moments(problem, sizes[i], seed, i),
-                    range(chunks),
-                )
-            )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(
+            pool.map(lambda i: _chunk_moments(problem, sizes[i], seed, i), range(chunks))
+        )
 
     total, mean, m2 = 0, 0.0, 0.0
     for part in parts:  # chunk-index order, fixed regardless of scheduling

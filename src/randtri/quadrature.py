@@ -24,6 +24,12 @@ total relative budget is split geometrically across levels, outermost
 largest.  Summation order inside each integral is fixed (panels sorted by
 position), so results do not depend on refinement history bookkeeping.
 
+The engine returns a value and an error estimate per integral and no
+verdict; the caller decides convergence by comparing the two (the
+QUADPACK contract).  ``nested_quadrature`` makes that comparison once, on
+the outermost integral, with the same acceptance test the engine applies
+to each integral: ``est_error <= max(rel_tol * |value|, 1e-13)``.
+
 The kernel is the closed form for fixed p1 and p2: the integrand (signed
 area or 1) is affine in y3, and its integral between y3 bounds affine in
 x3 is a polynomial of degree <= 2 in x3, which a 2-point Gauss rule in x3
@@ -77,9 +83,10 @@ WEIGHTS_K = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 WEIGHTS_G = np.zeros(15)
 WEIGHTS_G[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
-# Absolute floor under the per-level relative tolerance.  Keeps zero-valued
-# integrals from refining forever; far below every catalog magnitude of
-# interest (the smallest is ~1e-7 at half-unit domains).
+# Absolute floor under the per-level relative tolerance and under the
+# converged test.  Keeps zero-valued integrals from refining forever; far
+# below every catalog magnitude of interest (the smallest is ~1e-7 at
+# half-unit domains).
 _ABS_FLOOR = 1e-13
 
 _GAUSS2 = 0.5773502691896258  # 1/sqrt(3)
@@ -118,9 +125,7 @@ class RegionResult:
     converged: bool
 
 
-BatchIntegrand = Callable[
-    [np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
-]
+BatchIntegrand = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def adaptive_quad_batch(
@@ -130,20 +135,21 @@ def adaptive_quad_batch(
     *,
     rel_tol: float,
     max_depth: int = 12,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Adaptively integrate a batch of 1-D integrals with one integrand.
 
     ``f(ids, x)`` must evaluate integral ``ids[i]`` at point ``x[i]`` for
-    all i in one vectorized call and return ``(values, err_below, ok)``:
-    the integrand values, a nonnegative error bound carried up from any
-    nested integration inside the integrand (zeros for a plain function),
-    and a convergence flag per point.
+    all i in one vectorized call and return ``(values, err_below)``: the
+    integrand values and a nonnegative error bound carried up from any
+    nested integration inside the integrand (zeros for a plain function).
 
     Empty intervals (hi <= lo) yield 0.  Returns per-integral arrays
-    ``(value, err, ok)`` where ``err`` is the Kronrod error estimate of
-    this level plus the weighted propagated inner error, and ``ok`` is
-    False where the tolerance was not met within ``max_depth`` or a nested
-    level failed.
+    ``(value, err)`` where ``err`` is the Kronrod error estimate of this
+    level plus the weighted propagated inner error.  An integral is
+    refined until ``err`` (before the inner part) is within
+    ``max(rel_tol * |value|, 1e-13)`` or its offending panels reach
+    ``max_depth``; a depth-capped integral keeps its larger ``err``, so
+    the caller sees the shortfall by comparing ``err`` with its tolerance.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -152,27 +158,25 @@ def adaptive_quad_batch(
 
     out_val = np.zeros(m)
     out_err = np.zeros(m)
-    out_ok = np.ones(m, dtype=bool)
     if not live.any():
-        return out_val, out_err, out_ok
+        return out_val, out_err
 
     def eval_panels(pids: np.ndarray, pa: np.ndarray, pb: np.ndarray):
         center = 0.5 * (pa + pb)
         half = 0.5 * (pb - pa)
         x = (center[:, None] + half[:, None] * NODES).ravel()
-        vals, below, vok = f(np.repeat(pids, NODES.size), x)
+        vals, below = f(np.repeat(pids, NODES.size), x)
         vals = vals.reshape(-1, NODES.size)
         k15 = half * (vals @ WEIGHTS_K)
         g7 = half * (vals @ WEIGHTS_G)
         p_err = np.abs(k15 - g7)
         p_below = half * (np.abs(below).reshape(-1, NODES.size) @ WEIGHTS_K)
-        p_ok = vok.reshape(-1, NODES.size).all(axis=1)
-        return k15, p_err, p_below, p_ok
+        return k15, p_err, p_below
 
     ids = np.nonzero(live)[0]
     a, b = lo[ids], hi[ids]
     depth = np.zeros(ids.size, dtype=np.int64)
-    val, err, below, pok = eval_panels(ids, a, b)
+    val, err, below = eval_panels(ids, a, b)
 
     frozen = np.zeros(m, dtype=bool)  # given up: offending panels at max depth
     while True:
@@ -187,7 +191,6 @@ def adaptive_quad_batch(
         share = tol / (2.0 * counts)
         split = needy[ids] & (err > share[ids]) & (depth < max_depth)
         if not split.any():
-            frozen |= needy
             break
 
         # a needy integral whose every oversized panel is depth-capped
@@ -201,7 +204,7 @@ def adaptive_quad_batch(
         n_ids = np.concatenate([s_ids, s_ids])
         n_a = np.concatenate([s_a, mid])
         n_b = np.concatenate([mid, s_b])
-        n_val, n_err, n_below, n_ok = eval_panels(n_ids, n_a, n_b)
+        n_val, n_err, n_below = eval_panels(n_ids, n_a, n_b)
 
         ids = np.concatenate([ids[keep], n_ids])
         a = np.concatenate([a[keep], n_a])
@@ -210,31 +213,19 @@ def adaptive_quad_batch(
         val = np.concatenate([val[keep], n_val])
         err = np.concatenate([err[keep], n_err])
         below = np.concatenate([below[keep], n_below])
-        pok = np.concatenate([pok[keep], n_ok])
 
     # fixed summation order: panels sorted by (integral, position)
     order = np.lexsort((a, ids))
-    ids, val, err, below, pok = (arr[order] for arr in (ids, val, err, below, pok))
+    ids, val, err, below = (arr[order] for arr in (ids, val, err, below))
     np.add.at(out_val, ids, val)
     np.add.at(out_err, ids, err + below)
-    out_ok &= ~frozen
-    bad = np.zeros(m, dtype=bool)
-    np.logical_or.at(bad, ids, ~pok)
-    out_ok &= ~bad
-    return out_val, out_err, out_ok
+    return out_val, out_err
 
 
 def _budget_shares(levels: int) -> np.ndarray:
     """Geometric split of the relative budget, outermost level largest."""
     shares = 0.5 ** np.arange(1, levels + 1)
     return shares / shares.sum()
-
-
-class _EvalCounter:
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
 
 
 def _broadcast(value, m: int) -> np.ndarray:
@@ -244,9 +235,7 @@ def _broadcast(value, m: int) -> np.ndarray:
     return arr
 
 
-def _analytic_kernel(
-    region: RegionSpec, counter: _EvalCounter
-) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+def _analytic_kernel(region: RegionSpec, env: Mapping[str, np.ndarray]) -> np.ndarray:
     """Closed-form kernel for the x3 and y3 integrals at each (x1, y1, x2, y2).
 
     The integrand is affine in y3, so its y3 integral is a primitive
@@ -258,32 +247,26 @@ def _analytic_kernel(
     _, x3_lo, x3_hi = region.vars[4]
     _, y3_lo, y3_hi = region.vars[5]
     signed = region.integrand is Integrand.SIGNED_AREA
-    sign = float(region.sign)
-
-    def kernel(env: Mapping[str, np.ndarray]) -> np.ndarray:
-        m = env["x1"].shape[0]
-        counter.n += m
-        e = _broadcast(x3_lo(env), m)
-        f = _broadcast(x3_hi(env), m)
-        half = 0.5 * (f - e)
-        center = 0.5 * (f + e)
+    m = env["x1"].shape[0]
+    e = _broadcast(x3_lo(env), m)
+    f = _broadcast(x3_hi(env), m)
+    half = 0.5 * (f - e)
+    center = 0.5 * (f + e)
+    if signed:
+        x1, y1, x2, y2 = env["x1"], env["y1"], env["x2"], env["y2"]
+        alpha0 = 0.5 * (x1 * y2 - x2 * y1)
+        alpha1 = 0.5 * (y1 - y2)
+        beta = 0.5 * (x2 - x1)
+    acc = np.zeros(m)
+    for offset in (-_GAUSS2, _GAUSS2):
+        x3 = center + half * offset
+        c = y3_lo.at(env, x3)
+        d = np.maximum(y3_hi.at(env, x3), c)
         if signed:
-            x1, y1, x2, y2 = env["x1"], env["y1"], env["x2"], env["y2"]
-            alpha0 = 0.5 * (x1 * y2 - x2 * y1)
-            alpha1 = 0.5 * (y1 - y2)
-            beta = 0.5 * (x2 - x1)
-        acc = np.zeros(m)
-        for offset in (-_GAUSS2, _GAUSS2):
-            x3 = center + half * offset
-            c = y3_lo.at(env, x3)
-            d = np.maximum(y3_hi.at(env, x3), c)
-            if signed:
-                acc += (alpha0 + alpha1 * x3) * (d - c) + 0.5 * beta * (d * d - c * c)
-            else:
-                acc += d - c
-        return np.where(half > 0.0, sign * half * acc, 0.0)
-
-    return kernel
+            acc += (alpha0 + alpha1 * x3) * (d - c) + 0.5 * beta * (d * d - c * c)
+        else:
+            acc += d - c
+    return np.where(half > 0.0, region.sign * half * acc, 0.0)
 
 
 def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> RegionResult:
@@ -292,25 +275,28 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     The returned value includes the region's sign, so a sign-consistent
     region yields a nonnegative value.  ``est_error`` is a (possibly
     loose) bound combining the outer Kronrod estimates with the error
-    budgets propagated from inner levels; ``converged`` is False when any
-    level hit ``max_depth`` before meeting its share of the tolerance.
+    budgets propagated from inner levels.  ``converged`` is exactly
+    ``est_error <= max(cfg.rel_tol * |value|, 1e-13)``: the requested
+    tolerance was met.  The absolute floor 1e-13 keeps zero-valued regions
+    converged; on domains so small that rel_tol * |value| < 1e-13 (roughly
+    (ab)**4 < 1e-13 / rel_tol) it is the floor, not rel_tol, that both
+    stops refinement and passes the test.
 
     Raises DegenerateRegionError when the outermost interval is empty.
     Intermediate empty intervals (bounds crossing through rounding at
     region corners) contribute zero, as they correspond to measure-zero
     slivers.
     """
-    counter = _EvalCounter()
     levels = region.vars[:4]
-    kernel = _analytic_kernel(region, counter)
-
     budgets = cfg.rel_tol * _budget_shares(len(levels))
+    evaluations = 0
 
-    def recurse(k: int, env: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def recurse(k: int, env: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal evaluations
         if k == len(levels):
-            vals = kernel(env)
-            zeros = np.zeros_like(vals)
-            return vals, zeros, np.ones(vals.shape[0], dtype=bool)
+            evaluations += env["x1"].shape[0]
+            vals = _analytic_kernel(region, env)
+            return vals, np.zeros_like(vals)
         name, lo_fn, hi_fn = levels[k]
         m = next(iter(env.values())).shape[0] if env else 1
         lo = _broadcast(lo_fn(env), m)
@@ -329,7 +315,7 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
             f, lo, hi, rel_tol=budgets[k], max_depth=cfg.max_depth
         )
 
-    values, errors, oks = recurse(0, {})
+    values, errors = recurse(0, {})
     value = float(values[0])
     # the quadrature estimate can fall below the rounding noise of the
     # final panel summation; the reported bound must not
@@ -338,8 +324,8 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
         name=region.name,
         value=value,
         est_error=est_error,
-        evaluations=counter.n,
-        converged=bool(oks[0]),
+        evaluations=evaluations,
+        converged=est_error <= max(cfg.rel_tol * abs(value), _ABS_FLOOR),
     )
 
 

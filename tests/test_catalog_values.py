@@ -158,6 +158,18 @@ class TestConvergence:
         assert errs[1] <= errs[0]
         assert errs[1] <= 1e-5 * truth
 
+    def test_converged_is_truthful_at_tight_tolerance(self):
+        # a cell whose inner integrals hit max_depth somewhere is still
+        # converged when its total error meets the requested tolerance
+        cfg = QuadConfig(rel_tol=1e-6)
+        cells = rectangle_regions(1.0, 1.0) + normalizer_regions(1.0, 1.0)
+        for res in evaluate_regions(cells, cfg):
+            truth = float(exact_reference(res.name))
+            assert res.converged, res.name
+            assert abs(res.value - truth) <= res.est_error <= cfg.rel_tol * abs(res.value), (
+                res.name
+            )
+
     def test_error_estimates_are_honest_at_unit_square(self, rect_unit, norm_unit):
         for store in (rect_unit, norm_unit):
             for name, res in store.items():

@@ -144,6 +144,12 @@ class TestMc:
         assert run_cli(["mc", "--problem", "frame", "--n", "1"])[0] == 2
         assert run_cli(["mc", "--problem", "frame", "--n", "100", "--chunks", "200"])[0] == 2
         assert run_cli(["mc", "--problem", "frame", "--n", "100", "--seed", "-1"])[0] == 2
+        # sides the problem ignores
+        for argv in (["--problem", "frame", "--a", "3", "--b", "7"],
+                     ["--problem", "tetra", "--b", "7"]):
+            code, _, err = run_cli(["mc", "--n", "100", *argv])
+            assert code == 2
+            assert err.startswith("error:") and "does not apply" in err
 
     def test_thread_count_does_not_change_bytes(self):
         runs = []

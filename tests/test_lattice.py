@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from randtri import lattice
 from randtri.lattice import (
     DEFAULT_WORK_LIMIT,
     MidpointLattice,
@@ -71,7 +72,7 @@ class TestEnumeration:
         assert got == value
 
     def test_largest_frozen_value(self):
-        assert enumerate_mean_area(40, work_limit=10**9) == FROZEN[40]
+        assert enumerate_mean_area(40) == FROZEN[40]
 
     def test_closed_form_in_n(self):
         for n in range(1, 61):
@@ -90,13 +91,23 @@ class TestEnumeration:
             # (4n)^3 ordered triples, each area a multiple of 1/(2*(2n)^2)
             assert ((4 * n) ** 3 * 2 * (2 * n) ** 2) % mean.denominator == 0
 
-    def test_work_limit_guards_large_runs(self):
+    def test_work_limit_guards_large_runs(self, monkeypatch):
         with pytest.raises(WorkLimitExceededError):
             enumerate_mean_area(200)
-        # explicit budget overrides the default cap
-        assert enumerate_mean_area(2, work_limit=(4 * 2) ** 3) == FROZEN[2]
+        # the limit is inclusive: exactly (4n)**3 triples still run
+        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", (4 * 2) ** 3)
+        assert enumerate_mean_area(2) == FROZEN[2]
+        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", (4 * 2) ** 3 - 1)
         with pytest.raises(WorkLimitExceededError):
-            enumerate_mean_area(2, work_limit=(4 * 2) ** 3 - 1)
+            enumerate_mean_area(2)
+
+    def test_oversized_run_is_rejected_before_building_the_lattice(self, monkeypatch):
+        def unexpected(n):
+            raise AssertionError("the lattice was built for an oversized run")
+
+        monkeypatch.setattr(lattice, "midpoint_lattice", unexpected)
+        with pytest.raises(WorkLimitExceededError):
+            enumerate_mean_area(10**6)
 
     def test_default_limit_allows_the_reference_size(self):
         assert (4 * 10) ** 3 <= DEFAULT_WORK_LIMIT
