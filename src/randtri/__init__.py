@@ -22,7 +22,6 @@ from .geometry import (
     signed_volume_xyz,
 )
 from .lattice import (
-    MidpointLattice,
     WorkLimitExceededError,
     enumerate_mean_area,
     midpoint_lattice,
@@ -39,7 +38,6 @@ from .quadrature import (
     DegenerateRegionError,
     QuadConfig,
     RegionResult,
-    evaluate_regions,
     expected_area_interior,
     nested_quadrature,
 )

@@ -23,7 +23,13 @@ import time
 from . import __version__
 from .geometry import CubeDomain, RectDomain
 from .lattice import WorkLimitExceededError, enumerate_mean_area
-from .montecarlo import CubeTetrahedron, FrameTriangle, InteriorTriangle, estimate
+from .montecarlo import (
+    TETRA_MEAN,
+    CubeTetrahedron,
+    FrameTriangle,
+    InteriorTriangle,
+    estimate,
+)
 from .quadrature import QuadConfig, nested_quadrature
 from .regions import (
     UnknownNameError,
@@ -181,6 +187,24 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     return EXIT_OK if worst <= 10.0 * args.rel_tol else EXIT_ACCURACY
 
 
+def _check_sample_scale(args: argparse.Namespace, sides: dict, peak: float,
+                        mean) -> None:
+    """Reject a domain on which the estimate's moments leave binary64.
+
+    ``peak`` bounds every intermediate of one sample (3ab for twice a
+    signed area, 6a**3 for a tetrahedron determinant), so the sum of n
+    squared deviations stays finite when n * peak**2 does.  The square of
+    the exact ``mean`` (a float or Fraction) is the scale of the variance
+    and must be a normal float, which also makes the mean one.
+    """
+    if math.isinf(peak * peak * args.n) or mean * mean < sys.float_info.min:
+        domain = ", ".join(f"{side}={value}" for side, value in sides.items())
+        raise ValueError(
+            f"--problem {args.problem} on {domain}: the mean or the variance "
+            "does not fit a binary64 float"
+        )
+
+
 def _cmd_mc(args: argparse.Namespace) -> int:
     used = {"interior": ("a", "b"), "frame": (), "tetra": ("a",)}[args.problem]
     sides = {}
@@ -191,11 +215,15 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         elif value is not None:
             raise ValueError(f"--{side} does not apply to --problem {args.problem}")
     if args.problem == "interior":
-        problem = InteriorTriangle(RectDomain(sides["a"], sides["b"]))
+        a, b = sides["a"], sides["b"]
+        problem = InteriorTriangle(RectDomain(a, b))
+        _check_sample_scale(args, sides, 3.0 * a * b, exact_reference("RESULT", a, b))
     elif args.problem == "frame":
         problem = FrameTriangle()
     else:
         problem = CubeTetrahedron(CubeDomain(sides["a"]))
+        cube = sides["a"] * sides["a"] * sides["a"]
+        _check_sample_scale(args, sides, 6.0 * cube, TETRA_MEAN * cube)
     t0 = time.perf_counter()
     result = estimate(
         problem, args.n, seed=args.seed, chunks=args.chunks, threads=args.threads

@@ -4,10 +4,16 @@ Vertices are uniform in arc length over the perimeter.  By symmetry the
 first vertex can be pinned to the bottom side at (x1, 0); the second then
 lives on one of four sides (the four cases), and the third traverses the
 whole perimeter.  For fixed first and second vertices, the signed area is
-affine in the third vertex's position along any one side, so the innermost
-path integral of |area| has a closed form: split the side at the sign
-change and integrate each piece exactly.  That leaves two numeric levels
-(x1 and the second vertex's side coordinate).
+affine in the third vertex's position along any one side, so it is fixed
+by its values at the four corners, and the innermost path integral of
+|area| along a side has a closed form in the areas at the side's two
+corners: split the side at the sign change and integrate each piece
+exactly.  That leaves two numeric levels (x1 and the second vertex's side
+coordinate).
+
+The perimeter is one table, the four corners in perimeter order; sides,
+frame points, the kernel's corner areas and the midpoint lattice of
+``lattice`` all read it.
 
 The normalizer is 16: the second vertex contributes measure 4 (four sides
 of unit length) and the third vertex contributes the full perimeter length
@@ -30,17 +36,14 @@ __all__ = [
     "side_case_value",
 ]
 
-# side k, traversed in the perimeter direction: anchor + u * step, u in [0, 1]
-_SIDES = {
-    1: ((0.0, 0.0), (1.0, 0.0)),  # bottom, rightward
-    2: ((1.0, 0.0), (0.0, 1.0)),  # right, upward
-    3: ((1.0, 1.0), (-1.0, 0.0)),  # top, leftward
-    4: ((0.0, 1.0), (0.0, -1.0)),  # left, downward
-}
-# the same table as arrays indexed by side - 1, for frame_xy
-_ANCHOR_X, _ANCHOR_Y, _STEP_X, _STEP_Y = np.array(
-    [(*anchor, *step) for anchor, step in _SIDES.values()]
-).T
+# the unit square's corners in perimeter order, counter-clockwise from the
+# origin; side k (0-based) runs from corner k to corner k + 1, so a point on
+# it is corner k + u * step k, u in [0, 1]
+_CORNERS = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+_STEPS = np.roll(_CORNERS, -1, axis=0) - _CORNERS
+# the same tables per coordinate, for frame_xy's gathers
+_ANCHOR_X, _ANCHOR_Y = _CORNERS.T
+_STEP_X, _STEP_Y = _STEPS.T
 
 # closed form of side_case_value(case, x1) for each side case
 SIDE_CASE_FORMS = {
@@ -60,16 +63,17 @@ def frame_point(t: float) -> Point2:
     t = float(t)
     if not 0.0 <= t < 4.0:
         raise ValueError(f"perimeter parameter must be in [0, 4), got {t}")
-    side = int(t) + 1
-    (ax, ay), (dx, dy) = _SIDES[side]
-    u = t - int(t)
+    k = int(t)
+    (ax, ay), (dx, dy) = _CORNERS[k].tolist(), _STEPS[k].tolist()
+    u = t - k
     return Point2(ax + dx * u, ay + dy * u)
 
 
 def frame_xy(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized frame_point over an array of parameters in [0, 4)."""
     t = np.asarray(t, dtype=float)
-    if t.size and (t.min() < 0.0 or t.max() >= 4.0):
+    # written so that NaN fails too: every comparison with NaN is False
+    if t.size and not (t.min() >= 0.0 and t.max() < 4.0):
         raise ValueError("perimeter parameters must be in [0, 4)")
     k = np.floor(t).astype(np.int64)
     u = t - k
@@ -97,25 +101,23 @@ def _abs_affine_integral(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     return np.abs(head) + np.abs(total - head)
 
 
-def _pair_kernel(
-    case: int, p3_side: int, x1: np.ndarray, u: np.ndarray, quarter_turns: int = 0
-) -> np.ndarray:
-    """Third-vertex path integral of |area| along one side, vectorized.
+def _corner_areas(
+    case: int, x1: np.ndarray, u: np.ndarray, quarter_turns: int = 0
+) -> list[np.ndarray]:
+    """Signed areas with the third vertex at each of the four corners.
 
-    First vertex (x1, 0), second on side ``case`` at coordinate u, third
-    sweeping side ``p3_side``.  ``quarter_turns`` rotates the whole
-    configuration, which must not change any area.
+    First vertex (x1, 0), second on side ``case`` at coordinate u.  The
+    area is affine along a side, so side k's path integral of |area| is
+    fixed by the areas at corners k and k + 1.  ``quarter_turns`` rotates
+    the whole configuration, which must not change any area.
     """
-    (ax, ay), (dx, dy) = _SIDES[case]
-    p2x, p2y = ax + dx * u, ay + dy * u
-    (gx, gy), (hx, hy) = _SIDES[p3_side]
+    (ax, ay), (dx, dy) = _CORNERS[case - 1].tolist(), _STEPS[case - 1].tolist()
     p1x, p1y = _rotate(x1, 0.0, quarter_turns)
-    p2x, p2y = _rotate(p2x, p2y, quarter_turns)
-    g = _rotate(gx, gy, quarter_turns)
-    e = _rotate(gx + hx, gy + hy, quarter_turns)
-    c0 = signed_area_xy(p1x, p1y, p2x, p2y, g[0], g[1])
-    c1 = signed_area_xy(p1x, p1y, p2x, p2y, e[0], e[1]) - c0
-    return _abs_affine_integral(np.asarray(c0, dtype=float), np.asarray(c1, dtype=float))
+    p2x, p2y = _rotate(ax + dx * u, ay + dy * u, quarter_turns)
+    return [
+        signed_area_xy(p1x, p1y, p2x, p2y, *_rotate(cx, cy, quarter_turns))
+        for cx, cy in _CORNERS.tolist()
+    ]
 
 
 def _check_case(case: int) -> int:
@@ -141,7 +143,8 @@ def _side_sweep(
     """Integrals over the second vertex's coordinate u in [0, 1], one per x1.
 
     The integrand sums, over the second vertex's sides ``cases`` and the
-    third vertex's four sides, the closed-form path integral of |area|.
+    third vertex's four sides, the closed-form path integral of |area|,
+    each from the signed areas at the side's two corners.
     Returns adaptive_quad_batch's (value, err) arrays.
     """
 
@@ -149,8 +152,10 @@ def _side_sweep(
         x = x1[ids]
         vals = np.zeros_like(u)
         for case in cases:
-            for p3_side in (1, 2, 3, 4):
-                vals += _pair_kernel(case, p3_side, x, u, quarter_turns)
+            areas = _corner_areas(case, x, u, quarter_turns)
+            for k in range(4):
+                head, tail = areas[k], areas[(k + 1) % 4]
+                vals += _abs_affine_integral(head, tail - head)
         return vals, np.zeros_like(vals)
 
     return adaptive_quad_batch(

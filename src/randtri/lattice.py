@@ -6,23 +6,23 @@ midpoints.  The mean of |area| over all (4n)**3 ordered vertex triples
 finite stand-in for the frame distribution that approaches 5/32 as n
 grows; at n = 10 it equals 249/1600, within 1/1600 of the limit.
 
-Scaling coordinates by 2n makes them integers, so twice the scaled area
-is an integer cross product.  The enumeration accumulates those in int64
-(the per-vertex partial sums stay far below overflow at every permitted
-n) and performs a single exact division at the end.
+Scaling coordinates by 2n makes them integers, so the lattice is built
+directly as int64 coordinates from frame's perimeter table (corner k and
+the step to corner k + 1), and twice the scaled area is an integer cross
+product.  The enumeration accumulates those in int64 (the per-vertex
+partial sums stay far below overflow at every permitted n) and performs a
+single exact division at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Point2
+from .frame import _CORNERS, _STEPS
 
 __all__ = [
-    "MidpointLattice",
     "WorkLimitExceededError",
     "enumerate_mean_area",
     "midpoint_lattice",
@@ -35,46 +35,20 @@ class WorkLimitExceededError(RuntimeError):
     """The requested enumeration is larger than the configured work limit."""
 
 
-@dataclass(frozen=True, slots=True)
-class MidpointLattice:
-    """The 4n side midpoints, ordered bottom, right, top, left.
+def midpoint_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4n side midpoints scaled by 2n, as int64 arrays (xs, ys).
 
-    Coordinates are exact rationals with denominator dividing 2n; every
-    point lies on the boundary.
+    Sides come in perimeter order (bottom, right, top, left), each walked
+    from its first corner: midpoint j of side k is 2n * corner k +
+    (2j - 1) * step k, for j = 1..n.  Every coordinate is 0 or 2n across
+    the side and odd along it.
     """
-
-    n: int
-    points: tuple[Point2, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if len(self.points) != 4 * self.n:
-            raise ValueError(
-                f"expected {4 * self.n} points, got {len(self.points)}"
-            )
-        scale = 2 * self.n
-        for p in self.points:
-            x, y = Fraction(p.x), Fraction(p.y)
-            if scale % x.denominator or scale % y.denominator:
-                raise ValueError(f"{p} is not a midpoint of an n={self.n} subdivision")
-            if not (x in (0, 1) or y in (0, 1)):
-                raise ValueError(f"{p} is not on the boundary")
-
-
-def midpoint_lattice(n: int) -> MidpointLattice:
-    """Construct the lattice; each side is traversed in perimeter direction."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    mids = [Fraction(2 * k - 1, 2 * n) for k in range(1, n + 1)]
-    zero, one = Fraction(0), Fraction(1)
-    points = (
-        [Point2(m, zero) for m in mids]
-        + [Point2(one, m) for m in mids]
-        + [Point2(one - m, one) for m in mids]
-        + [Point2(zero, one - m) for m in mids]
-    )
-    return MidpointLattice(n=n, points=tuple(points))
+    odd = np.arange(1, 2 * n, 2, dtype=np.int64)[:, None]
+    anchor, step = _CORNERS.astype(np.int64), _STEPS.astype(np.int64)
+    points = 2 * n * anchor[:, None, :] + odd * step[:, None, :]  # (side, j, xy)
+    return points[..., 0].ravel(), points[..., 1].ravel()
 
 
 def enumerate_mean_area(n: int) -> Fraction:
@@ -93,10 +67,8 @@ def enumerate_mean_area(n: int) -> Fraction:
             f"(4*{n})**3 = {m**3:,} ordered triples exceeds the limit "
             f"{DEFAULT_WORK_LIMIT:,}"
         )
-    lattice = midpoint_lattice(n)
+    xs, ys = midpoint_lattice(n)
     scale = 2 * n
-    xs = np.array([int(p.x * scale) for p in lattice.points], dtype=np.int64)
-    ys = np.array([int(p.y * scale) for p in lattice.points], dtype=np.int64)
 
     total = 0
     for i in range(n):  # the bottom side comes first in lattice order

@@ -56,7 +56,6 @@ __all__ = [
     "QuadConfig",
     "RegionResult",
     "adaptive_quad_batch",
-    "evaluate_regions",
     "expected_area_interior",
     "nested_quadrature",
 ]
@@ -329,13 +328,6 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     )
 
 
-def evaluate_regions(
-    regions: list[RegionSpec], cfg: QuadConfig = QuadConfig()
-) -> list[RegionResult]:
-    """Integrate each region in order with a shared configuration."""
-    return [nested_quadrature(region, cfg) for region in regions]
-
-
 def expected_area_interior(
     a: float, b: float, cfg: QuadConfig = QuadConfig()
 ) -> float:
@@ -346,6 +338,6 @@ def expected_area_interior(
     errors of numerator and denominator combine, so expect agreement to a
     small multiple of cfg.rel_tol.
     """
-    signed = sum(r.value for r in evaluate_regions(rectangle_regions(a, b), cfg))
-    measure = sum(r.value for r in evaluate_regions(normalizer_regions(a, b), cfg))
+    signed = sum(nested_quadrature(r, cfg).value for r in rectangle_regions(a, b))
+    measure = sum(nested_quadrature(r, cfg).value for r in normalizer_regions(a, b))
     return signed / measure

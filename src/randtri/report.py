@@ -26,7 +26,7 @@ from .montecarlo import (
     InteriorTriangle,
     estimate,
 )
-from .quadrature import QuadConfig, evaluate_regions, expected_area_interior
+from .quadrature import QuadConfig, expected_area_interior, nested_quadrature
 from .regions import (
     exact_reference,
     normalizer_regions,
@@ -65,9 +65,8 @@ def _rel(value: float, reference) -> float:
 
 def _quadrature_constants() -> Verdict:
     limit_s = 60.0
-    results, seconds = _timed(
-        evaluate_regions, rectangle_regions(1, 1) + normalizer_regions(1, 1), _CFG
-    )
+    cells = rectangle_regions(1, 1) + normalizer_regions(1, 1)
+    results, seconds = _timed(lambda: [nested_quadrature(c, _CFG) for c in cells])
     by_name = {r.name: r.value for r in results}
     by_name["I15"] = sum(by_name[f"I{k}"] for k in range(1, 6))
     by_name["J15"] = sum(by_name[f"J{k}"] for k in range(1, 6))
@@ -83,8 +82,8 @@ def _quadrature_constants() -> Verdict:
 
 
 def _square_decomposition() -> Verdict:
-    areas = {r.name: r for r in evaluate_regions(square_regions(1.0), _CFG)}
-    volumes = {r.name: r for r in evaluate_regions(square_normalizer_regions(1.0), _CFG)}
+    areas = {r.name: nested_quadrature(r, _CFG) for r in square_regions(1.0)}
+    volumes = {r.name: nested_quadrature(r, _CFG) for r in square_normalizer_regions(1.0)}
     big_i = sum(r.value for r in areas.values())
     big_j = sum(r.value for r in volumes.values())
     worst = max(

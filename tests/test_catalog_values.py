@@ -7,7 +7,6 @@ import pytest
 
 from randtri.quadrature import (
     QuadConfig,
-    evaluate_regions,
     expected_area_interior,
     nested_quadrature,
 )
@@ -22,28 +21,28 @@ from randtri.regions import (
 CFG = QuadConfig()
 
 
-def by_name(results):
-    return {r.name: r for r in results}
+def by_name(regions):
+    return {r.name: nested_quadrature(r, CFG) for r in regions}
 
 
 @pytest.fixture(scope="module")
 def rect_unit():
-    return by_name(evaluate_regions(rectangle_regions(1.0, 1.0), CFG))
+    return by_name(rectangle_regions(1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
 def norm_unit():
-    return by_name(evaluate_regions(normalizer_regions(1.0, 1.0), CFG))
+    return by_name(normalizer_regions(1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
 def square_unit():
-    return by_name(evaluate_regions(square_regions(1.0), CFG))
+    return by_name(square_regions(1.0))
 
 
 @pytest.fixture(scope="module")
 def square_norm_unit():
-    return by_name(evaluate_regions(square_normalizer_regions(1.0), CFG))
+    return by_name(square_normalizer_regions(1.0))
 
 
 def assert_close_to_reference(result, name, a=1.0, b=1.0, rel=None):
@@ -109,9 +108,8 @@ class TestUnitSquareCells:
 class TestGeneralDomains:
     @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 4.0)])
     def test_stretched_rectangle_cells(self, a, b):
-        for res in evaluate_regions(rectangle_regions(a, b), CFG):
-            assert_close_to_reference(res, res.name, a, b)
-        for res in evaluate_regions(normalizer_regions(a, b), CFG):
+        for region in rectangle_regions(a, b) + normalizer_regions(a, b):
+            res = nested_quadrature(region, CFG)
             assert_close_to_reference(res, res.name, a, b)
 
     def test_mean_area_unit_square(self):
@@ -140,8 +138,8 @@ class TestConvergence:
         loose_cfg = QuadConfig(rel_tol=1e-3)
         tight_cfg = QuadConfig(rel_tol=1e-5)
         cells = rectangle_regions(1.0, 1.0) + normalizer_regions(1.0, 1.0)
-        loose = evaluate_regions(cells, loose_cfg)
-        tight = evaluate_regions(cells, tight_cfg)
+        loose = [nested_quadrature(cell, loose_cfg) for cell in cells]
+        tight = [nested_quadrature(cell, tight_cfg) for cell in cells]
         for lres, tres in zip(loose, tight):
             assert abs(lres.value - tres.value) <= lres.est_error + tres.est_error, (
                 lres.name
@@ -163,7 +161,7 @@ class TestConvergence:
         # converged when its total error meets the requested tolerance
         cfg = QuadConfig(rel_tol=1e-6)
         cells = rectangle_regions(1.0, 1.0) + normalizer_regions(1.0, 1.0)
-        for res in evaluate_regions(cells, cfg):
+        for res in (nested_quadrature(cell, cfg) for cell in cells):
             truth = float(exact_reference(res.name))
             assert res.converged, res.name
             assert abs(res.value - truth) <= res.est_error <= cfg.rel_tol * abs(res.value), (

@@ -150,6 +150,14 @@ class TestMc:
             code, _, err = run_cli(["mc", "--n", "100", *argv])
             assert code == 2
             assert err.startswith("error:") and "does not apply" in err
+        # domains whose mean or variance leaves binary64 fail before sampling
+        for argv in (["--problem", "interior", "--a", "1e200", "--b", "1e200"],
+                     ["--problem", "interior", "--a", "1e-200", "--b", "1e-200"],
+                     ["--problem", "tetra", "--a", "1e120"],
+                     ["--problem", "interior", "--a", "1e150", "--b", "1e150"]):
+            code, out, err = run_cli(["mc", "--n", "100", *argv])
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "binary64" in err
 
     def test_thread_count_does_not_change_bytes(self):
         runs = []

@@ -8,7 +8,7 @@ from scipy.integrate import quad as scipy_quad
 
 from randtri.frame import (
     SIDE_CASE_FORMS,
-    _pair_kernel,
+    _corner_areas,
     expected_area_frame,
     frame_point,
     frame_xy,
@@ -42,6 +42,10 @@ class TestParametrization:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             frame_point(bad)
+        with pytest.raises(ValueError):
+            frame_xy(np.array([bad]))
+        with pytest.raises(ValueError):
+            frame_xy(np.array([0.5, bad, 2.5]))
 
     def test_vectorized_matches_scalar(self):
         ts = np.linspace(0.0, 4.0, 101)[:-1]
@@ -73,19 +77,23 @@ class TestSideCases:
                 assert 0.0 < v < 2.0
 
     def test_collinear_side_contributes_nothing(self):
-        # first and second vertex both on the bottom edge, third swept
-        # along the same edge: every triangle is flat
+        # first and second vertex both on the bottom edge: with the third
+        # at either end of that edge every triangle is flat
         u = np.linspace(0.0, 1.0, 33)
         x1 = np.full_like(u, 0.3)
-        assert np.all(_pair_kernel(1, 1, x1, u) == 0.0)
+        areas = _corner_areas(1, x1, u)
+        assert np.all(areas[0] == 0.0)
+        assert np.all(areas[1] == 0.0)
 
     def test_rotation_does_not_change_pair_integrals(self):
+        # the corner areas fix every side's path integral of |area|
         u = np.linspace(0.01, 0.99, 17)
         x1 = np.full_like(u, 0.4)
-        base = _pair_kernel(2, 3, x1, u)
+        base = _corner_areas(2, x1, u)
         for turns in (1, 2, 3):
-            rotated = _pair_kernel(2, 3, x1, u, quarter_turns=turns)
-            assert np.allclose(rotated, base, rtol=0.0, atol=1e-14)
+            rotated = _corner_areas(2, x1, u, quarter_turns=turns)
+            for got, want in zip(rotated, base):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("case,x1", [(2, 0.37), (3, 0.0), (4, 0.81)])
     def test_against_independent_quadrature(self, case, x1):

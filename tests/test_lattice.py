@@ -1,13 +1,15 @@
 """Exact rational enumeration over boundary midpoint lattices."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randtri import lattice
+from randtri.frame import frame_point
 from randtri.lattice import (
     DEFAULT_WORK_LIMIT,
-    MidpointLattice,
     WorkLimitExceededError,
     enumerate_mean_area,
     midpoint_lattice,
@@ -23,43 +25,56 @@ FROZEN = {
 
 
 class TestLatticeConstruction:
+    # midpoint_lattice returns the coordinates scaled by 2n, as int64
+
     def test_smallest_lattice_is_side_midpoints(self):
-        lat = midpoint_lattice(1)
-        assert isinstance(lat, MidpointLattice)
-        got = {(p.x, p.y) for p in lat.points}
-        h = Fraction(1, 2)
-        assert got == {(h, 0), (1, h), (h, 1), (0, h)}
+        xs, ys = midpoint_lattice(1)
+        assert xs.dtype == ys.dtype == np.int64
+        assert xs.tolist() == [1, 2, 1, 0]
+        assert ys.tolist() == [0, 1, 2, 1]
 
     def test_point_count_and_layout(self):
-        lat = midpoint_lattice(10)
-        assert len(lat.points) == 40
-        assert lat.points[0] == lat.points[0].__class__(Fraction(1, 20), Fraction(0))
-        on_bottom = [p for p in lat.points if p.y == 0]
-        assert len(on_bottom) == 10
-        assert sorted(p.x for p in on_bottom) == [
-            Fraction(2 * k - 1, 20) for k in range(1, 11)
-        ]
+        xs, ys = midpoint_lattice(10)
+        assert xs.shape == ys.shape == (40,)
+        odd = list(range(1, 20, 2))
+        # one block of n points per side, each walked in perimeter order
+        assert xs[:10].tolist() == odd and ys[:10].tolist() == [0] * 10
+        assert xs[10:20].tolist() == [20] * 10 and ys[10:20].tolist() == odd
+        assert xs[20:30].tolist() == odd[::-1] and ys[20:30].tolist() == [20] * 10
+        assert xs[30:].tolist() == [0] * 10 and ys[30:].tolist() == odd[::-1]
 
     def test_points_sit_on_the_boundary(self):
         for n in (1, 2, 7):
-            for p in midpoint_lattice(n).points:
-                assert p.x in (0, 1) or p.y in (0, 1)
-                assert 0 <= p.x <= 1 and 0 <= p.y <= 1
+            xs, ys = midpoint_lattice(n)
+            edge = 2 * n
+            assert np.all((xs == 0) | (xs == edge) | (ys == 0) | (ys == edge))
+            assert np.all((0 <= xs) & (xs <= edge) & (0 <= ys) & (ys <= edge))
 
     def test_coordinates_are_odd_over_2n(self):
-        # interior coordinates are (2k-1)/(2n); Fraction reduces, so test
-        # the scaled form instead of the stored denominator
+        # along its side a midpoint sits at (2k-1)/(2n): odd once scaled
         n = 6
-        for p in midpoint_lattice(n).points:
-            for c in (p.x, p.y):
-                if c not in (0, 1):
-                    scaled = c * 2 * n
-                    assert scaled.denominator == 1
-                    assert scaled.numerator % 2 == 1
+        for coords in midpoint_lattice(n):
+            inner = coords[(coords != 0) & (coords != 2 * n)]
+            assert inner.size == 2 * n  # the two sides that run along this axis
+            assert np.all(inner % 2 == 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_frame_points(self, n):
+        # the lattice and frame_point read one corner table; frame_point
+        # gets t rounded, so the two agree to within one ulp of t
+        xs, ys = midpoint_lattice(n)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            side, j = divmod(i, n)
+            t = side + (2 * j + 1) / (2 * n)
+            p = frame_point(t)
+            assert abs(x / (2 * n) - p.x) <= math.ulp(t)
+            assert abs(y / (2 * n) - p.y) <= math.ulp(t)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             midpoint_lattice(0)
+        with pytest.raises(ValueError):
+            midpoint_lattice(-2)
         with pytest.raises(ValueError):
             enumerate_mean_area(-3)
 

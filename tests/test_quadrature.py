@@ -13,7 +13,6 @@ from randtri.quadrature import (
     QuadConfig,
     RegionResult,
     adaptive_quad_batch,
-    evaluate_regions,
     nested_quadrature,
 )
 from randtri.regions import AffineBound, Integrand, RegionSpec, VAR_ORDER, rectangle_regions
@@ -264,8 +263,3 @@ class TestNested:
         assert r1.value == r2.value
         assert r1.est_error == r2.est_error
         assert r1.evaluations == r2.evaluations
-
-    def test_evaluate_regions_preserves_order(self):
-        cells = rectangle_regions(1.0, 1.0)
-        results = evaluate_regions(cells, QuadConfig(rel_tol=1e-3))
-        assert [r.name for r in results] == [c.name for c in cells]
