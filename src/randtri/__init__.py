@@ -9,15 +9,11 @@ Carlo, and exact enumeration cross-check one another.
 
 from .frame import (
     expected_area_frame,
-    frame_point,
     side_case_value,
 )
 from .geometry import (
     CubeDomain,
-    Point2,
     RectDomain,
-    signed_area,
-    signed_area_exact,
     signed_area_xy,
     signed_volume_xyz,
 )

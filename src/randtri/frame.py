@@ -12,7 +12,7 @@ exactly.  That leaves two numeric levels (x1 and the second vertex's side
 coordinate).
 
 The perimeter is one table, the four corners in perimeter order; sides,
-frame points, the kernel's corner areas and the midpoint lattice of
+``frame_xy``, the kernel's corner areas and the midpoint lattice of
 ``lattice`` all read it.
 
 The normalizer is 16: the second vertex contributes measure 4 (four sides
@@ -23,15 +23,16 @@ of the per-case sums by 16 yields the mean, 5/32.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .geometry import Point2, signed_area_xy
+from .geometry import signed_area_xy
 from .quadrature import QuadConfig, _budget_shares, adaptive_quad_batch
 
 __all__ = [
     "SIDE_CASE_FORMS",
     "expected_area_frame",
-    "frame_point",
     "frame_xy",
     "side_case_value",
 ]
@@ -54,23 +55,13 @@ SIDE_CASE_FORMS = {
 }
 
 
-def frame_point(t: float) -> Point2:
-    """Point at arc length t on the unit square's boundary, t in [0, 4).
+def frame_xy(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points at arc lengths t on the unit square's boundary, t in [0, 4).
 
     Starts at the origin and runs counter-clockwise: bottom, right, top,
-    left.  Continuous on the closed loop (t -> 4 approaches the origin).
+    left; side k holds t in [k, k + 1).  Continuous on the closed loop
+    (t -> 4 approaches the origin).  Returns the arrays (x, y).
     """
-    t = float(t)
-    if not 0.0 <= t < 4.0:
-        raise ValueError(f"perimeter parameter must be in [0, 4), got {t}")
-    k = int(t)
-    (ax, ay), (dx, dy) = _CORNERS[k].tolist(), _STEPS[k].tolist()
-    u = t - k
-    return Point2(ax + dx * u, ay + dy * u)
-
-
-def frame_xy(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized frame_point over an array of parameters in [0, 4)."""
     t = np.asarray(t, dtype=float)
     # written so that NaN fails too: every comparison with NaN is False
     if t.size and not (t.min() >= 0.0 and t.max() < 4.0):
@@ -121,9 +112,13 @@ def _corner_areas(
 
 
 def _check_case(case: int) -> int:
-    if case not in (1, 2, 3, 4):
+    try:
+        index = operator.index(case)  # numpy integers pass, floats such as 2.0 do not
+    except TypeError:
+        index = None
+    if index not in (1, 2, 3, 4):
         raise ValueError(f"side case must be 1..4, got {case}")
-    return case
+    return index
 
 
 def _check_x1(x1: float) -> float:
@@ -174,7 +169,7 @@ def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> flo
     third vertex over the full perimeter, with the first vertex at (x1, 0).
     Always nonnegative; the closed forms are SIDE_CASE_FORMS.
     """
-    _check_case(case)
+    case = _check_case(case)
     x1 = _check_x1(x1)
     value, _ = _side_sweep((case,), np.array([x1]), cfg.rel_tol, cfg.max_depth)
     return float(value[0])
@@ -187,7 +182,7 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
     bottom; the answer must not depend on it (checked by rotating every
     configuration, which preserves areas exactly up to rounding).
     """
-    _check_case(p1_side)
+    p1_side = _check_case(p1_side)
     budgets = cfg.rel_tol * _budget_shares(2)
 
     def outer(ids: np.ndarray, x1: np.ndarray):

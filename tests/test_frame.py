@@ -10,11 +10,10 @@ from randtri.frame import (
     SIDE_CASE_FORMS,
     _corner_areas,
     expected_area_frame,
-    frame_point,
     frame_xy,
     side_case_value,
 )
-from randtri.geometry import Point2, signed_area
+from randtri.geometry import signed_area_xy
 from randtri.quadrature import QuadConfig
 
 
@@ -33,26 +32,27 @@ class TestParametrization:
         ],
     )
     def test_known_positions(self, t, x, y):
-        p = frame_point(t)
-        assert (p.x, p.y) == (x, y)
         xs, ys = frame_xy(np.array([t]))
         assert (xs[0], ys[0]) == (x, y)
 
     @pytest.mark.parametrize("bad", [-0.1, 4.0, 5.0, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            frame_point(bad)
-        with pytest.raises(ValueError):
             frame_xy(np.array([bad]))
         with pytest.raises(ValueError):
             frame_xy(np.array([0.5, bad, 2.5]))
 
     def test_vectorized_matches_scalar(self):
+        # the same walk written out one side at a time, on Python floats
+        def walk(t):
+            k = int(t)
+            u = t - k
+            return [(u, 0.0), (1.0, u), (1.0 - u, 1.0), (0.0, 1.0 - u)][k]
+
         ts = np.linspace(0.0, 4.0, 101)[:-1]
         xs, ys = frame_xy(ts)
-        for t, x, y in zip(ts, xs, ys):
-            p = frame_point(float(t))
-            assert (p.x, p.y) == (x, y)
+        for t, x, y in zip(ts.tolist(), xs, ys):
+            assert walk(t) == (x, y)
 
     def test_covers_all_four_sides(self):
         ts = np.linspace(0.0, 4.0, 4001)[:-1]
@@ -97,14 +97,16 @@ class TestSideCases:
 
     @pytest.mark.parametrize("case,x1", [(2, 0.37), (3, 0.0), (4, 0.81)])
     def test_against_independent_quadrature(self, case, x1):
-        p1 = Point2(x1, 0.0)
+        def point(t):
+            xs, ys = frame_xy(np.array([t]))
+            return xs[0], ys[0]
 
         def third_vertex_mean(u):
-            p2 = frame_point((case - 1) + min(u, 1.0 - 1e-12))
+            p2 = point((case - 1) + min(u, 1.0 - 1e-12))
             total = 0.0
             for side in range(4):
                 total += scipy_quad(
-                    lambda v: abs(signed_area(p1, p2, frame_point(side + v))),
+                    lambda v: abs(signed_area_xy(x1, 0.0, *p2, *point(side + v))),
                     0.0,
                     1.0,
                     limit=200,
@@ -115,11 +117,13 @@ class TestSideCases:
         got = side_case_value(case, x1)
         assert abs(got - want) <= 1e-6
 
+    def test_numpy_integer_case_accepted(self):
+        assert side_case_value(np.int64(2), 0.37) == side_case_value(2, 0.37)
+
     def test_bad_case_and_coordinate_rejected(self):
-        with pytest.raises(ValueError):
-            side_case_value(5, 0.5)
-        with pytest.raises(ValueError):
-            side_case_value(0, 0.5)
+        for case in (5, 0, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                side_case_value(case, 0.5)
         with pytest.raises(ValueError):
             side_case_value(1, 1.5)
         with pytest.raises(ValueError):
@@ -144,5 +148,6 @@ class TestFrameMean:
         assert abs(other - base) <= 2.0 * cfg.rel_tol * base
 
     def test_bad_first_side_rejected(self):
-        with pytest.raises(ValueError):
-            expected_area_frame(p1_side=0)
+        for side in (0, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                expected_area_frame(p1_side=side)

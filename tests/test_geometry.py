@@ -1,6 +1,5 @@
 """Planar and spatial primitives: worked examples plus algebraic invariants."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,16 +10,19 @@ from hypothesis import strategies as st
 
 from randtri.geometry import (
     CubeDomain,
-    Point2,
     RectDomain,
-    signed_area,
-    signed_area_exact,
     signed_area_xy,
     signed_volume_xyz,
 )
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 six = (coord,) * 6
+
+
+def _exact_area(x1, y1, x2, y2, x3, y3) -> Fraction:
+    # the oracle: the same cross product over exact rationals, never rounded
+    x1, y1, x2, y2, x3, y3 = map(Fraction, (x1, y1, x2, y2, x3, y3))
+    return (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2)) / 2
 
 
 def _noise(x1, y1, x2, y2, x3, y3):
@@ -34,7 +36,7 @@ def _noise(x1, y1, x2, y2, x3, y3):
 
 
 def _has_subnormal_step(x1, y1, x2, y2, x3, y3):
-    # every value signed_area forms on the way to its result, inputs included
+    # every value signed_area_xy forms on the way to its result, inputs included
     d1, d2, d3 = y2 - y3, y3 - y1, y1 - y2
     t1, t2, t3 = x1 * d1, x2 * d2, x3 * d3
     steps = (x1, y1, x2, y2, x3, y3, d1, d2, d3, t1, t2, t3, t1 + t2,
@@ -44,20 +46,20 @@ def _has_subnormal_step(x1, y1, x2, y2, x3, y3):
 
 class TestExamples:
     def test_unit_right_triangle(self):
-        assert signed_area(Point2(0, 0), Point2(1, 0), Point2(0, 1)) == 0.5
+        assert signed_area_xy(0, 0, 1, 0, 0, 1) == 0.5
 
     def test_clockwise_is_negative(self):
-        assert signed_area(Point2(0, 0), Point2(0, 1), Point2(1, 0)) == -0.5
+        assert signed_area_xy(0, 0, 0, 1, 1, 0) == -0.5
 
     def test_collinear_is_zero(self):
-        assert signed_area(Point2(0, 0), Point2(1, 1), Point2(2, 2)) == 0.0
+        assert signed_area_xy(0, 0, 1, 1, 2, 2) == 0.0
 
     def test_area_of_half_unit_square(self):
-        assert signed_area(Point2(0, 0), Point2(1, 0), Point2(1, 1)) == 0.5
+        assert signed_area_xy(0, 0, 1, 0, 1, 1) == 0.5
 
     def test_repeated_vertex_has_zero_area(self):
-        p = Point2(0.3, 0.7)
-        assert signed_area(p, p, Point2(1, 0)) == 0.0
+        x, y = 0.3, 0.7
+        assert signed_area_xy(x, y, x, y, 1, 0) == 0.0
 
     def test_corner_tetrahedron_volume(self):
         v = signed_volume_xyz(0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1)
@@ -73,43 +75,30 @@ class TestExamples:
 
 class TestExactRational:
     def test_matches_hand_value(self):
-        s = signed_area_exact(
-            Point2(Fraction(0), Fraction(0)),
-            Point2(Fraction(1, 3), Fraction(0)),
-            Point2(Fraction(0), Fraction(1, 7)),
-        )
+        s = _exact_area(0, 0, Fraction(1, 3), 0, 0, Fraction(1, 7))
         assert s == Fraction(1, 42)
 
     def test_agrees_with_float_on_dyadic_inputs(self):
-        pts = [Point2(Fraction(1, 4), Fraction(3, 8)),
-               Point2(Fraction(7, 2), Fraction(-5, 16)),
-               Point2(Fraction(-9, 32), Fraction(1, 2))]
-        exact = signed_area_exact(*pts)
-        approx = signed_area(*(Point2(float(p.x), float(p.y)) for p in pts))
-        assert abs(float(exact) - approx) <= _noise(
-            *(float(v) for p in pts for v in (p.x, p.y))
-        )
+        coords = (0.25, 0.375, 3.5, -0.3125, -0.28125, 0.5)  # dyadic: exact floats
+        exact = _exact_area(*coords)
+        approx = signed_area_xy(*coords)
+        assert abs(float(exact) - approx) <= _noise(*coords)
 
     def test_transposition_negates_exactly(self):
-        p = [Point2(Fraction(1, 3), Fraction(2, 7)),
-             Point2(Fraction(5, 11), Fraction(1, 13)),
-             Point2(Fraction(3, 4), Fraction(9, 10))]
-        assert signed_area_exact(p[1], p[0], p[2]) == -signed_area_exact(*p)
+        p1 = Fraction(1, 3), Fraction(2, 7)
+        p2 = Fraction(5, 11), Fraction(1, 13)
+        p3 = Fraction(3, 4), Fraction(9, 10)
+        assert _exact_area(*p2, *p1, *p3) == -_exact_area(*p1, *p2, *p3)
 
 
 class TestValidation:
-    def test_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Point2(float("nan"), 0.0)
+    def test_rect_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            RectDomain(float("nan"), 1.0)
 
-    def test_point_rejects_inf(self):
-        with pytest.raises(ValueError):
-            Point2(0.0, float("inf"))
-
-    def test_point_is_frozen(self):
-        p = Point2(1.0, 2.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            p.x = 3.0
+    def test_cube_rejects_inf(self):
+        with pytest.raises(ValueError, match="finite"):
+            CubeDomain(float("inf"))
 
     def test_rect_rejects_zero_side(self):
         with pytest.raises(ValueError, match="positive"):
@@ -127,23 +116,21 @@ class TestValidation:
 class TestInvariants:
     @given(*six)
     def test_swap_first_two_negates_exactly(self, x1, y1, x2, y2, x3, y3):
-        p1, p2, p3 = Point2(x1, y1), Point2(x2, y2), Point2(x3, y3)
-        assert signed_area(p2, p1, p3) == -signed_area(p1, p2, p3)
+        p1, p2, p3 = (x1, y1), (x2, y2), (x3, y3)
+        assert signed_area_xy(*p2, *p1, *p3) == -signed_area_xy(*p1, *p2, *p3)
 
     @given(*six)
     def test_cyclic_shift_preserves_value(self, x1, y1, x2, y2, x3, y3):
-        p1, p2, p3 = Point2(x1, y1), Point2(x2, y2), Point2(x3, y3)
-        base = signed_area(p1, p2, p3)
+        p1, p2, p3 = (x1, y1), (x2, y2), (x3, y3)
+        base = signed_area_xy(*p1, *p2, *p3)
         tol = _noise(x1, y1, x2, y2, x3, y3)
-        assert abs(signed_area(p2, p3, p1) - base) <= tol
-        assert abs(signed_area(p3, p1, p2) - base) <= tol
+        assert abs(signed_area_xy(*p2, *p3, *p1) - base) <= tol
+        assert abs(signed_area_xy(*p3, *p1, *p2) - base) <= tol
 
     @given(*six, coord, coord)
     def test_translation_invariance(self, x1, y1, x2, y2, x3, y3, dx, dy):
-        base = signed_area(Point2(x1, y1), Point2(x2, y2), Point2(x3, y3))
-        moved = signed_area(
-            Point2(x1 + dx, y1 + dy), Point2(x2 + dx, y2 + dy), Point2(x3 + dx, y3 + dy)
-        )
+        base = signed_area_xy(x1, y1, x2, y2, x3, y3)
+        moved = signed_area_xy(x1 + dx, y1 + dy, x2 + dx, y2 + dy, x3 + dx, y3 + dy)
         tol = _noise(x1, y1, x2, y2, x3, y3) + _noise(
             x1 + dx, y1 + dy, x2 + dx, y2 + dy, x3 + dx, y3 + dy
         )
@@ -154,12 +141,8 @@ class TestInvariants:
     def test_power_of_two_scaling_is_exact(self, x1, y1, x2, y2, x3, y3, lam):
         # exact unless some step of either evaluation falls below 2**-1022,
         # where a product rounds to the subnormal grid
-        base = signed_area(Point2(x1, y1), Point2(x2, y2), Point2(x3, y3))
-        scaled = signed_area(
-            Point2(lam * x1, lam * y1),
-            Point2(lam * x2, lam * y2),
-            Point2(lam * x3, lam * y3),
-        )
+        base = signed_area_xy(x1, y1, x2, y2, x3, y3)
+        scaled = signed_area_xy(lam * x1, lam * y1, lam * x2, lam * y2, lam * x3, lam * y3)
         assert (
             scaled == lam * lam * base
             or _has_subnormal_step(x1, y1, x2, y2, x3, y3)
@@ -175,7 +158,7 @@ class TestVectorized:
         pts = rng.uniform(-5.0, 5.0, size=(200, 6))
         vec = signed_area_xy(*pts.T)
         for row, got in zip(pts, vec):
-            want = signed_area(Point2(*row[0:2]), Point2(*row[2:4]), Point2(*row[4:6]))
+            want = signed_area_xy(*row.tolist())  # Python floats, one row at a time
             assert got == want
 
     def test_broadcasts_against_scalars(self):

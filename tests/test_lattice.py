@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from randtri import lattice
-from randtri.frame import frame_point
+from randtri.frame import frame_xy
 from randtri.lattice import (
     DEFAULT_WORK_LIMIT,
     WorkLimitExceededError,
@@ -60,15 +60,15 @@ class TestLatticeConstruction:
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_matches_frame_points(self, n):
-        # the lattice and frame_point read one corner table; frame_point
-        # gets t rounded, so the two agree to within one ulp of t
+        # the lattice and frame_xy read one corner table; frame_xy gets t
+        # rounded, so the two agree to within one ulp of t
         xs, ys = midpoint_lattice(n)
         for i, (x, y) in enumerate(zip(xs, ys)):
             side, j = divmod(i, n)
             t = side + (2 * j + 1) / (2 * n)
-            p = frame_point(t)
-            assert abs(x / (2 * n) - p.x) <= math.ulp(t)
-            assert abs(y / (2 * n) - p.y) <= math.ulp(t)
+            fx, fy = frame_xy(np.array([t]))
+            assert abs(x / (2 * n) - fx[0]) <= math.ulp(t)
+            assert abs(y / (2 * n) - fy[0]) <= math.ulp(t)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
