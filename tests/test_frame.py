@@ -9,12 +9,30 @@ from scipy.integrate import quad as scipy_quad
 from randtri.frame import (
     SIDE_CASE_FORMS,
     _corner_areas,
+    _kinks,
     expected_area_frame,
     frame_xy,
     side_case_value,
 )
 from randtri.geometry import signed_area_xy
 from randtri.quadrature import QuadConfig
+
+# the u-interval is split at every kink, so the frame route is exact up to
+# rounding; this bound leaves room for a few hundred ulp
+EXACT = 1e-13
+
+# x1 where a corner area's root meets an interval end or another root, their
+# float neighbours, and a random x1 whose kink at u = x1 the unsplit sweep
+# missed by 1.6e-6 relative
+EDGE_X1 = sorted(
+    {
+        y
+        for x in (0.0, 0.25, 0.5, 1.0)
+        for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))
+        if 0.0 <= y <= 1.0
+    }
+    | {0.0015847499555259326}
+)
 
 
 class TestParametrization:
@@ -66,7 +84,20 @@ class TestSideCases:
     @pytest.mark.parametrize("x1", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_matches_closed_form(self, case, x1):
         got = side_case_value(case, x1)
-        assert abs(got - SIDE_CASE_FORMS[case](x1)) <= 1e-4
+        assert abs(got - SIDE_CASE_FORMS[case](x1)) <= EXACT
+
+    def test_matches_closed_form_at_random_x1(self):
+        rng = np.random.default_rng(20260)
+        for x1 in rng.random(200).tolist():
+            for case, form in SIDE_CASE_FORMS.items():
+                want = form(x1)
+                assert abs(side_case_value(case, x1) - want) <= EXACT * want, (case, x1)
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    @pytest.mark.parametrize("x1", EDGE_X1)
+    def test_matches_closed_form_at_kink_prone_x1(self, case, x1):
+        want = SIDE_CASE_FORMS[case](x1)
+        assert abs(side_case_value(case, x1) - want) <= EXACT * want
 
     def test_values_are_positive_and_bounded(self):
         # the value sums |area| integrals over four hosting sides, each
@@ -130,22 +161,73 @@ class TestSideCases:
             side_case_value(1, float("nan"))
 
 
+class TestKinks:
+    RANDOM_X1 = np.random.default_rng(7).random(64)
+    X1 = np.concatenate([RANDOM_X1, EDGE_X1])
+
+    @pytest.mark.parametrize("cases", [(1,), (2,), (3,), (4,), (1, 2, 3, 4)])
+    def test_roots_are_interior_and_at_most_four_per_case(self, cases):
+        roots = _kinks(cases, self.X1)
+        assert roots.shape == (self.X1.size, 4 * len(cases))
+        found = ~np.isnan(roots)
+        assert np.all((roots[found] > 0.0) & (roots[found] < 1.0))
+        assert np.all(found.sum(axis=1) <= 4 * len(cases))
+
+    def test_only_kink_is_where_the_second_vertex_passes_the_first(self):
+        # on a convex frame the line through p1 and a corner meets the
+        # boundary again only at that corner, unless p2 shares p1's side:
+        # there the areas at the two far corners flip sign at u = x1
+        x1 = self.RANDOM_X1
+        roots = _kinks((1, 2, 3, 4), x1)
+        assert np.all(np.isnan(roots[:, [0, 1] + list(range(4, 16))]))
+        assert np.allclose(roots[:, 2], x1, rtol=0.0, atol=4e-16)
+        assert np.allclose(roots[:, 3], x1, rtol=0.0, atol=4e-16)
+
+    @pytest.mark.parametrize("turns", [0, 1])
+    def test_corner_area_vanishes_at_its_root(self, turns):
+        cases = (1, 2, 3, 4)
+        roots = _kinks(cases, self.X1, quarter_turns=turns)
+        for col in range(roots.shape[1]):
+            case, corner = cases[col // 4], col % 4
+            hit = ~np.isnan(roots[:, col])
+            x1, u = self.X1[hit], roots[hit, col]
+            area = _corner_areas(case, x1, u, turns)[corner]
+            # the area is affine in u with slope at most 1/2, so a root off
+            # by a few ulp of u leaves a few ulp of area
+            assert np.all(np.abs(area) <= 8.0 * np.finfo(float).eps), (case, corner)
+
+    @pytest.mark.parametrize("x1", [0.0, 1.0])
+    def test_roots_on_interval_ends_are_dropped(self, x1):
+        # at a corner x1 some areas vanish at u = 0 or u = 1 itself: those
+        # are not breakpoints, and the sweep still meets the closed forms
+        roots = _kinks((1, 2, 3, 4), np.array([x1]))
+        assert not np.any((roots == 0.0) | (roots == 1.0))
+        for case, form in SIDE_CASE_FORMS.items():
+            assert abs(side_case_value(case, x1) - form(x1)) <= EXACT * form(x1)
+
+
 class TestFrameMean:
     def test_sum_polynomial_integrates_to_five_halves(self):
         # integrating 17/6 - 2x + 2x^2 over [0, 1] gives 5/2
         mean = expected_area_frame()
-        assert abs(16.0 * mean - 2.5) <= 1e-4
+        assert abs(16.0 * mean - 2.5) <= EXACT
 
     def test_mean_value(self):
         mean = expected_area_frame()
-        assert abs(mean - 5.0 / 32.0) <= 1e-4
+        assert abs(mean - 5.0 / 32.0) <= EXACT
 
     @pytest.mark.parametrize("side", [2, 3, 4])
     def test_first_vertex_side_is_irrelevant(self, side):
         cfg = QuadConfig(rel_tol=1e-5)
         base = expected_area_frame(cfg)
         other = expected_area_frame(cfg, p1_side=side)
-        assert abs(other - base) <= 2.0 * cfg.rel_tol * base
+        assert abs(other - base) <= EXACT
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_exact_at_every_tolerance(self, rel_tol, side):
+        mean = expected_area_frame(QuadConfig(rel_tol=rel_tol), p1_side=side)
+        assert abs(mean - 5.0 / 32.0) <= EXACT
 
     def test_bad_first_side_rejected(self):
         for side in (0, 1.0, 2.0):
