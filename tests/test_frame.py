@@ -21,9 +21,9 @@ from randtri.quadrature import QuadConfig
 # rounding; this bound leaves room for a few hundred ulp
 EXACT = 1e-13
 
-# x1 where a corner area's root meets an interval end or another root, their
-# float neighbours, and a random x1 whose kink at u = x1 the unsplit sweep
-# missed by 1.6e-6 relative
+# x1 where the kink u = x1 falls on an end of the u-interval or on a
+# bisection panel edge, their float neighbours, and a seeded random x1 of
+# the benchmark whose kink the unsplit sweep missed by 5.0e-6 relative
 EDGE_X1 = sorted(
     {
         y
@@ -192,18 +192,16 @@ class TestKinks:
             hit = ~np.isnan(roots[:, col])
             x1, u = self.X1[hit], roots[hit, col]
             area = _corner_areas(case, x1, u, turns)[corner]
-            # the area is affine in u with slope at most 1/2, so a root off
-            # by a few ulp of u leaves a few ulp of area
+            # the area is affine in u with slope below 1, so a root off by
+            # a few ulp of u leaves a few ulp of area
             assert np.all(np.abs(area) <= 8.0 * np.finfo(float).eps), (case, corner)
 
     @pytest.mark.parametrize("x1", [0.0, 1.0])
     def test_roots_on_interval_ends_are_dropped(self, x1):
         # at a corner x1 some areas vanish at u = 0 or u = 1 itself: those
-        # are not breakpoints, and the sweep still meets the closed forms
+        # are not breakpoints (EDGE_X1 checks the values there)
         roots = _kinks((1, 2, 3, 4), np.array([x1]))
-        assert not np.any((roots == 0.0) | (roots == 1.0))
-        for case, form in SIDE_CASE_FORMS.items():
-            assert abs(side_case_value(case, x1) - form(x1)) <= EXACT * form(x1)
+        assert np.all(np.isnan(roots))
 
 
 class TestFrameMean:
