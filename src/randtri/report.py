@@ -141,13 +141,21 @@ def _frame_polynomials() -> Verdict:
 
 
 def _lattice_exactness() -> Verdict:
-    n, exact, limit_s = 10, Fraction(249, 1600), 5.0
-    value, seconds = _timed(enumerate_mean_area, n)
+    limit_s = 5.0
+    # the frozen n = 10 value, and the law 5/32 - 1/(16n^2) at scale
+    cases = {10: Fraction(249, 1600), 1000: _FRAME_MEAN - Fraction(1, 16 * 1000**2)}
+    lines = []
+    ok = True
+    for n, exact in cases.items():
+        value, seconds = _timed(enumerate_mean_area, n)
+        ok &= value == exact and seconds < limit_s
+        lines.append(f"n={n}: {value} in {seconds:.3f} s")
     return Verdict(
-        f"{exact} at n={n}, exact rational equality",
-        f"{value} in {seconds:.3f} s",
-        f"exact, under {limit_s:g} s",
-        value == exact and seconds < limit_s,
+        f"{cases[10]} at n=10 and 5/32 - 1/(16n^2) = {cases[1000]} at n=1000, "
+        "exact rational equality",
+        "; ".join(lines),
+        f"exact, each under {limit_s:g} s",
+        ok,
     )
 
 

@@ -183,7 +183,7 @@ class TestLattice:
         assert run_cli(["lattice", "--n", "0"])[0] == 2
 
     def test_oversized_run_is_resource_error(self):
-        code, _, err = run_cli(["lattice", "--n", "200"])
+        code, _, err = run_cli(["lattice", "--n", "2501"])
         assert code == 3
         assert "work" in err.lower() or "limit" in err.lower()
 

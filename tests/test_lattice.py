@@ -15,6 +15,19 @@ from randtri.lattice import (
     midpoint_lattice,
 )
 
+
+def _cubic_mean_area(n):
+    """The mean by brute force over all (4n)**3 ordered triples: the oracle."""
+    xs, ys = midpoint_lattice(n)
+    total = 0
+    for i in range(n):  # the bottom side, weighted by 4 for the quarter turns
+        u = xs - xs[i]
+        v = ys - ys[i]
+        cross = u[:, None] * v[None, :] - u[None, :] * v[:, None]
+        total += int(np.abs(cross).sum())
+    return Fraction(4 * total, (4 * n) ** 3 * 2 * (2 * n) ** 2)
+
+
 FROZEN = {
     1: Fraction(3, 32),
     2: Fraction(9, 64),
@@ -90,8 +103,12 @@ class TestEnumeration:
         assert enumerate_mean_area(40) == FROZEN[40]
 
     def test_closed_form_in_n(self):
-        for n in range(1, 61):
+        for n in range(1, 201):
             assert enumerate_mean_area(n) == Fraction(5, 32) - Fraction(1, 16 * n * n)
+
+    def test_matches_cubic_enumeration(self):
+        for n in range(1, 41):
+            assert enumerate_mean_area(n) == _cubic_mean_area(n), n
 
     def test_refinement_approaches_continuum_mean(self):
         target = Fraction(5, 32)
@@ -107,12 +124,12 @@ class TestEnumeration:
             assert ((4 * n) ** 3 * 2 * (2 * n) ** 2) % mean.denominator == 0
 
     def test_work_limit_guards_large_runs(self, monkeypatch):
-        with pytest.raises(WorkLimitExceededError):
-            enumerate_mean_area(200)
-        # the limit is inclusive: exactly (4n)**3 triples still run
-        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", (4 * 2) ** 3)
+        with pytest.raises(WorkLimitExceededError, match="closed-form sums"):
+            enumerate_mean_area(2501)
+        # the limit is inclusive: exactly 16n**2 closed-form sums still run
+        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", 64)
         assert enumerate_mean_area(2) == FROZEN[2]
-        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", (4 * 2) ** 3 - 1)
+        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", 63)
         with pytest.raises(WorkLimitExceededError):
             enumerate_mean_area(2)
 
@@ -125,4 +142,4 @@ class TestEnumeration:
             enumerate_mean_area(10**6)
 
     def test_default_limit_allows_the_reference_size(self):
-        assert (4 * 10) ** 3 <= DEFAULT_WORK_LIMIT
+        assert 16 * 10**2 <= DEFAULT_WORK_LIMIT
