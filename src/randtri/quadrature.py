@@ -4,7 +4,7 @@ The engine evaluates a 6-fold integral over a region as a chain of
 one-dimensional adaptive Gauss-Kronrod (G7/K15) integrations over x1, y1,
 x2 and y2, outermost first, where each level's bounds may depend on every
 variable bound further out; a closed-form kernel does the x3 and y3
-integrals.  Two design points matter for speed and robustness:
+integrals.  Three design points matter for speed and robustness:
 
 * **Batching.**  A level never integrates one integral at a time.  All
   integrals pending at a level (one per quadrature node of the enclosing
@@ -18,6 +18,14 @@ integrals.  Two design points matter for speed and robustness:
   x2 level spans [x1, a], making this exactly the substitution
   x2 = x1 + u*(a - x1) that keeps the slope (y2-y1)/(x2-x1) finite at
   every evaluation point.
+
+* **A blocked innermost level.**  The y2 level's batch reaches hundreds
+  of thousands of points, and the closed-form x3/y3 kernel makes a dozen
+  temporaries of that length, which spill out of a few-MB L2 cache.  So
+  its callback gathers x1, y1, x2 and runs the kernel in fixed blocks of
+  ``_KERNEL_BLOCK`` points into one output array; each block stays
+  cache-resident.  Every step of the gather and the kernel is
+  elementwise, so the result is bit-identical for any block size.
 
 Per-integral tolerances are relative with a small absolute floor; the
 total relative budget is split geometrically across levels, outermost
@@ -40,11 +48,12 @@ when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .regions import (
+    Env,
     Integrand,
     RegionSpec,
     normalizer_regions,
@@ -90,6 +99,10 @@ _ABS_FLOOR = 1e-13
 
 _GAUSS2 = 0.5773502691896258  # 1/sqrt(3)
 
+# Points per call of the closed-form kernel: its dozen temporaries of this
+# length (128 KiB each) stay in L2 cache.
+_KERNEL_BLOCK = 16384
+
 
 class DegenerateRegionError(ValueError):
     """The outermost integration interval of a region is empty."""
@@ -124,7 +137,9 @@ class RegionResult:
     converged: bool
 
 
-BatchIntegrand = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+BatchIntegrand = Callable[
+    [np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None]
+]
 
 
 def adaptive_quad_batch(
@@ -140,7 +155,8 @@ def adaptive_quad_batch(
     ``f(ids, x)`` must evaluate integral ``ids[i]`` at point ``x[i]`` for
     all i in one vectorized call and return ``(values, err_below)``: the
     integrand values and a nonnegative error bound carried up from any
-    nested integration inside the integrand (zeros for a plain function).
+    nested integration inside the integrand (zeros, or None, for an
+    integrand with no inner error).
 
     Empty intervals (hi <= lo) yield 0.  Returns per-integral arrays
     ``(value, err)`` where ``err`` is the Kronrod error estimate of this
@@ -169,7 +185,10 @@ def adaptive_quad_batch(
         k15 = half * (vals @ WEIGHTS_K)
         g7 = half * (vals @ WEIGHTS_G)
         p_err = np.abs(k15 - g7)
-        p_below = half * (np.abs(below).reshape(-1, NODES.size) @ WEIGHTS_K)
+        if below is None:
+            p_below = np.zeros_like(k15)
+        else:
+            p_below = half * (np.abs(below).reshape(-1, NODES.size) @ WEIGHTS_K)
         return k15, p_err, p_below
 
     ids = np.nonzero(live)[0]
@@ -234,14 +253,15 @@ def _broadcast(value, m: int) -> np.ndarray:
     return arr
 
 
-def _analytic_kernel(region: RegionSpec, env: Mapping[str, np.ndarray]) -> np.ndarray:
+def _analytic_kernel(region: RegionSpec, env: Env) -> np.ndarray:
     """Closed-form kernel for the x3 and y3 integrals at each (x1, y1, x2, y2).
 
     The integrand is affine in y3, so its y3 integral is a primitive
     evaluated at the two y3 bounds; those bounds are affine in x3, which
     makes the result a polynomial of degree <= 2 in x3 and a 2-point Gauss
-    rule in x3 exact.  Interval clamping (empty => 0) only ever triggers
-    within rounding error of a region edge.
+    rule in x3 exact.  Each y3 bound's coefficients are evaluated once per
+    call and combined as ``AffineBound.at`` does.  Interval clamping
+    (empty => 0) only ever triggers within rounding error of a region edge.
     """
     _, x3_lo, x3_hi = region.vars[4]
     _, y3_lo, y3_hi = region.vars[5]
@@ -251,6 +271,8 @@ def _analytic_kernel(region: RegionSpec, env: Mapping[str, np.ndarray]) -> np.nd
     f = _broadcast(x3_hi(env), m)
     half = 0.5 * (f - e)
     center = 0.5 * (f + e)
+    lo_const, lo_slope = y3_lo.const(env), y3_lo.slope(env)
+    hi_const, hi_slope = y3_hi.const(env), y3_hi.slope(env)
     if signed:
         x1, y1, x2, y2 = env["x1"], env["y1"], env["x2"], env["y2"]
         alpha0 = 0.5 * (x1 * y2 - x2 * y1)
@@ -259,8 +281,8 @@ def _analytic_kernel(region: RegionSpec, env: Mapping[str, np.ndarray]) -> np.nd
     acc = np.zeros(m)
     for offset in (-_GAUSS2, _GAUSS2):
         x3 = center + half * offset
-        c = y3_lo.at(env, x3)
-        d = np.maximum(y3_hi.at(env, x3), c)
+        c = lo_const + lo_slope * x3
+        d = np.maximum(hi_const + hi_slope * x3, c)
         if signed:
             acc += (alpha0 + alpha1 * x3) * (d - c) + 0.5 * beta * (d * d - c * c)
         else:
@@ -290,12 +312,7 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     budgets = cfg.rel_tol * _budget_shares(len(levels))
     evaluations = 0
 
-    def recurse(k: int, env: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal evaluations
-        if k == len(levels):
-            evaluations += env["x1"].shape[0]
-            vals = _analytic_kernel(region, env)
-            return vals, np.zeros_like(vals)
+    def recurse(k: int, env: Env) -> tuple[np.ndarray, np.ndarray]:
         name, lo_fn, hi_fn = levels[k]
         m = next(iter(env.values())).shape[0] if env else 1
         lo = _broadcast(lo_fn(env), m)
@@ -305,10 +322,24 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
                 f"region {region.name!r}: outermost interval [{lo[0]}, {hi[0]}] is empty"
             )
 
-        def f(ids: np.ndarray, x: np.ndarray):
-            child = {v: arr[ids] for v, arr in env.items()}
-            child[name] = x
-            return recurse(k + 1, child)
+        if k + 1 < len(levels):
+            def f(ids: np.ndarray, x: np.ndarray):
+                child = {v: arr[ids] for v, arr in env.items()}
+                child[name] = x
+                return recurse(k + 1, child)
+        else:
+            def f(ids: np.ndarray, x: np.ndarray):
+                # the closed form is exact: no inner error to carry up
+                nonlocal evaluations
+                evaluations += x.size
+                out = np.empty(x.size)
+                for start in range(0, x.size, _KERNEL_BLOCK):
+                    block = slice(start, start + _KERNEL_BLOCK)
+                    rows = ids[block]
+                    child = {v: arr[rows] for v, arr in env.items()}
+                    child[name] = x[block]
+                    out[block] = _analytic_kernel(region, child)
+                return out, None
 
         return adaptive_quad_batch(
             f, lo, hi, rel_tol=budgets[k], max_depth=cfg.max_depth

@@ -24,7 +24,9 @@ sixth of the full configuration volume).
 Bounds are callables of the already-bound outer variables, vectorized
 over numpy arrays.  The innermost (y3) bounds must be AffineBound, affine
 in x3 with explicit coefficient functions, which lets the quadrature
-engine do the last two integrals in closed form.
+engine do the last two integrals in closed form.  The chord's slope, which
+several bounds of a cell share, is computed once per environment and kept
+in it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -53,7 +55,8 @@ __all__ = [
     "square_regions",
 ]
 
-Env = Mapping[str, np.ndarray]
+# bound variables by name; bounds may add derived entries (see _per_env)
+Env = dict[str, np.ndarray]
 BoundFn = Callable[[Env], Union[np.ndarray, float]]
 
 VAR_ORDER = ("x1", "y1", "x2", "y2", "x3", "y3")
@@ -129,6 +132,26 @@ def _var(name: str) -> BoundFn:
     return bound
 
 
+def _per_env(key: str) -> Callable[[BoundFn], BoundFn]:
+    """Evaluate a bound helper once per environment and store it there.
+
+    The x3 and y3 bounds of a cell are all evaluated on one environment,
+    whose bound variables do not change once they are set, so they can
+    share the result under ``key``.
+    """
+
+    def decorate(fn: BoundFn) -> BoundFn:
+        def shared(env: Env):
+            value = env.get(key)
+            if value is None:
+                value = env[key] = fn(env)
+            return value
+
+        return shared
+
+    return decorate
+
+
 def _ascending_cells(
     domain: RectDomain, integrand: Integrand, prefix: str
 ) -> list[RegionSpec]:
@@ -141,6 +164,7 @@ def _ascending_cells(
         x1, y1 = env["x1"], env["y1"]
         return y1 + (b - y1) / (a - x1) * (env["x2"] - x1)
 
+    @_per_env("chord.slope")
     def slope(env: Env):
         return (env["y2"] - env["y1"]) / (env["x2"] - env["x1"])
 
@@ -185,6 +209,7 @@ def _descending_cells(
         x1, y1 = env["x1"], env["y1"]
         return y1 - y1 / (a - x1) * (env["x2"] - x1)
 
+    @_per_env("chord.fall")
     def fall(env: Env):
         # magnitude of the (negative) chord slope
         return (env["y1"] - env["y2"]) / (env["x2"] - env["x1"])

@@ -1,10 +1,12 @@
 """Adaptive engine behavior on known integrals and hand-checkable regions."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from randtri import quadrature
 from randtri.quadrature import (
     NODES,
     WEIGHTS_G,
@@ -15,7 +17,16 @@ from randtri.quadrature import (
     adaptive_quad_batch,
     nested_quadrature,
 )
-from randtri.regions import AffineBound, Integrand, RegionSpec, VAR_ORDER, rectangle_regions
+from randtri.regions import (
+    VAR_ORDER,
+    AffineBound,
+    Integrand,
+    RegionSpec,
+    normalizer_regions,
+    rectangle_regions,
+    square_normalizer_regions,
+    square_regions,
+)
 
 
 def plain(func):
@@ -263,3 +274,97 @@ class TestNested:
         assert r1.value == r2.value
         assert r1.est_error == r2.est_error
         assert r1.evaluations == r2.evaluations
+
+
+# (value.hex(), est_error.hex(), evaluations, converged) at rel_tol 1e-4.
+# Every step of the kernel level is elementwise, so blocking it or sharing
+# its bound coefficients must not move these by a bit.  The square's cells
+# 8..10 run the descending chord bounds.
+FROZEN = {
+    ("rect", "I1"): ("0x1.1bf47afb62ec5p-15", "0x1.d7b19b3b6e963p-33", 550635, True),
+    ("rect", "I2"): ("0x1.982f70c8b61b4p-11", "0x1.44fe72b3edf9dp-28", 335895, True),
+    ("rect", "I3"): ("0x1.369366a21ce07p-8", "0x1.7756cd5f62a22p-26", 145935, True),
+    ("rect", "I4"): ("0x1.51325216eb67ep-11", "0x1.0000000000000p-61", 50625, True),
+    ("rect", "I5"): ("0x1.4852ae3ebcca4p-10", "0x1.0000000000000p-60", 50625, True),
+    ("rect", "J1"): ("0x1.554ac828ac61fp-9", "0x1.7a643e2a1fddfp-26", 1748565, True),
+    ("rect", "J2"): ("0x1.aa9d7bc5c5e82p-7", "0x1.378d6b4670f62p-23", 1342575, True),
+    ("rect", "J3"): ("0x1.7ff41b6ec6f54p-5", "0x1.29f446dc94ff4p-22", 934875, True),
+    ("rect", "J4"): ("0x1.aa9d765e4aff4p-7", "0x1.0000000000000p-57", 50625, True),
+    ("rect", "J5"): ("0x1.2aa16c75347f6p-6", "0x1.0000000000000p-56", 50625, True),
+    ("square", "I8"): ("0x1.e573ac7e44e78p-16", "0x1.9334ea635ccb3p-33", 550125, True),
+    ("square", "I9"): ("0x1.5ceb23fa31d96p-11", "0x1.15ce61d05a536p-28", 336165, True),
+    ("square", "I10"): ("0x1.097b426fb030fp-8", "0x1.40d766b92ee39p-26", 145965, True),
+    ("square", "J8"): ("0x1.2f684e936fff8p-9", "0x1.506383e0d080cp-26", 1748655, True),
+    ("square", "J9"): ("0x1.7b42639e805a7p-7", "0x1.14f80e1be401dp-23", 1339695, True),
+    ("square", "J10"): ("0x1.5555534a2bc66p-5", "0x1.08e15513919a6p-22", 934875, True),
+}
+
+
+def _frozen_cells():
+    rect = rectangle_regions(1.3, 0.8) + normalizer_regions(1.3, 0.8)
+    square = square_regions(1.0) + square_normalizer_regions(1.0)
+    cells = [("rect", c) for c in rect]
+    cells += [("square", c) for c in square if ("square", c.name) in FROZEN]
+    return cells
+
+
+@pytest.mark.parametrize(
+    "tag, cell", _frozen_cells(), ids=lambda v: v if isinstance(v, str) else v.name
+)
+def test_catalog_results_are_frozen_to_the_bit(tag, cell):
+    res = nested_quadrature(cell, QuadConfig(rel_tol=1e-4))
+    got = (res.value.hex(), res.est_error.hex(), res.evaluations, res.converged)
+    assert got == FROZEN[tag, cell.name]
+
+
+class TestBlockedKernel:
+    def _record_blocks(self, monkeypatch) -> list[int]:
+        sizes = []
+        kernel = quadrature._analytic_kernel
+
+        def recording(region, env):
+            sizes.append(env["y2"].size)
+            return kernel(region, env)
+
+        monkeypatch.setattr(quadrature, "_analytic_kernel", recording)
+        return sizes
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        cell = normalizer_regions(1.3, 0.8)[3]  # J4: one batch of 15**4 points
+        sizes = self._record_blocks(monkeypatch)
+        base = nested_quadrature(cell)
+        assert base.evaluations > 2 * quadrature._KERNEL_BLOCK
+        assert len(sizes) > 2  # the batch spans several blocks
+        for block in (1, 7, 10**9):
+            monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", block)
+            sizes.clear()
+            assert nested_quadrature(cell) == base
+            assert max(sizes) == min(block, base.evaluations)
+
+    def test_y3_coefficients_run_once_per_block(self, monkeypatch):
+        calls = Counter()
+
+        def counted(tag, value):
+            def bound(env):
+                calls[tag] += 1
+                return value
+
+            return bound
+
+        y3_lo = AffineBound(counted("lo.const", 0.0), counted("lo.slope", 0.0))
+        y3_hi = AffineBound(counted("hi.const", 0.0), counted("hi.slope", 1.0))
+        rows = tuple((var, const(0.0), const(1.0)) for var in VAR_ORDER[:5])
+        region = RegionSpec(name="count", vars=rows + (("y3", y3_lo, y3_hi),),
+                            sign=1, integrand=Integrand.SIGNED_AREA)
+        tags = ("lo.const", "lo.slope", "hi.const", "hi.slope")
+
+        env = {var: np.linspace(0.1, 0.9, 11) for var in VAR_ORDER[:4]}
+        quadrature._analytic_kernel(region, env)
+        assert calls == Counter({tag: 1 for tag in tags})
+
+        calls.clear()
+        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 1000)
+        sizes = self._record_blocks(monkeypatch)
+        nested_quadrature(region, QuadConfig(rel_tol=1e-3, max_depth=1))
+        assert len(sizes) > 50
+        assert calls == Counter({tag: len(sizes) for tag in tags})

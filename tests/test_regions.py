@@ -105,6 +105,24 @@ class TestCatalogStructure:
         assert bound.at(env, np.array([0.25])) == pytest.approx(1.0)
         assert bound(env) == pytest.approx(1.0)
 
+    def test_chord_is_computed_once_per_env(self):
+        # the x3 and y3 bounds of a chord cell share one slope per env,
+        # stored as one derived entry, with the values of separate calls
+        rng = np.random.default_rng(13)
+        cells = {c.name: c for c in square_regions(1.0)}
+        for name in ("I1", "I8"):  # ascending and descending chord
+            cell = cells[name]
+            pts = sample_in_region(cell, 100, rng)
+            outer = {var: pts[:, k] for k, var in enumerate(VAR_ORDER[:4])}
+            (_, x3_lo, x3_hi), (_, y3_lo, y3_hi) = cell.vars[4:]
+            coefficients = (x3_lo, x3_hi, y3_lo.const, y3_lo.slope,
+                            y3_hi.const, y3_hi.slope)
+            env = dict(outer)
+            shared = [fn(env) for fn in coefficients]
+            assert len(env) == len(outer) + 1, name
+            for fn, value in zip(coefficients, shared):
+                np.testing.assert_array_equal(value, fn(dict(outer)))
+
 
 class TestSampling:
     def test_samples_lie_inside_their_cell(self):
