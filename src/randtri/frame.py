@@ -186,14 +186,16 @@ def _side_sweep(
     owner = np.repeat(np.arange(m), pieces)
 
     def f(ids: np.ndarray, u: np.ndarray):
-        x = x1[owner[ids]]
+        # one x1 per panel, broadcast across the panel's nodes; the closed
+        # form along each side is exact, so there is no inner error
+        x = x1[owner[ids], None]
         vals = np.zeros_like(u)
         for case in cases:
             areas = _corner_areas(case, x, u, quarter_turns)
             for k in range(4):
                 head, tail = areas[k], areas[(k + 1) % 4]
                 vals += _abs_affine_integral(head, tail - head)
-        return vals, np.zeros_like(vals)
+        return vals, None
 
     value, err = adaptive_quad_batch(
         f,
@@ -229,9 +231,11 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
     budgets = cfg.rel_tol * _budget_shares(2)
 
     def outer(ids: np.ndarray, x1: np.ndarray):
-        return _side_sweep(
-            (1, 2, 3, 4), x1, budgets[1], cfg.max_depth, quarter_turns=p1_side - 1
+        value, err = _side_sweep(
+            (1, 2, 3, 4), x1.ravel(), budgets[1], cfg.max_depth,
+            quarter_turns=p1_side - 1,
         )
+        return value.reshape(x1.shape), err.reshape(x1.shape)
 
     value, _ = adaptive_quad_batch(
         outer,

@@ -6,11 +6,15 @@ x2 and y2, outermost first, where each level's bounds may depend on every
 variable bound further out; a closed-form kernel does the x3 and y3
 integrals.  Three design points matter for speed and robustness:
 
-* **Batching.**  A level never integrates one integral at a time.  All
-  integrals pending at a level (one per quadrature node of the enclosing
-  level) advance in lockstep: every refinement round gathers the panels of
-  every unconverged integral into a single flat array of evaluation points
-  and makes one vectorized call downward.  Adaptivity stays per-integral.
+* **Batching on panel rows.**  A level never integrates one integral at
+  a time.  All integrals pending at a level (one per quadrature node of
+  the enclosing level) advance in lockstep: every refinement round
+  gathers the panels of every unconverged integral and makes one
+  vectorized call downward, with one integral id per panel and the
+  panel's 15 nodes as one row.  Adaptivity stays per-integral.  An
+  integral that splits no panel in a round can never change again, so
+  its panels retire from the round arrays and no later round touches
+  them; the survivors keep their order, and so their summation order.
 
 * **Open rules on normalized panels.**  Each panel is mapped affinely onto
   [-1, 1] and the Kronrod nodes are strictly interior, so the integrand is
@@ -22,10 +26,13 @@ integrals.  Three design points matter for speed and robustness:
 * **A blocked innermost level.**  The y2 level's batch reaches hundreds
   of thousands of points, and the closed-form x3/y3 kernel makes a dozen
   temporaries of that length, which spill out of a few-MB L2 cache.  So
-  its callback gathers x1, y1, x2 and runs the kernel in fixed blocks of
-  ``_KERNEL_BLOCK`` points into one output array; each block stays
-  cache-resident.  Every step of the gather and the kernel is
-  elementwise, so the result is bit-identical for any block size.
+  its callback runs the kernel in blocks of whole panels, about
+  ``_KERNEL_BLOCK`` points each, into one output array; each block stays
+  cache-resident.  It gathers x1, y1 and x2 once per panel as a column,
+  and numpy broadcasts them across the panel's 15 y2 nodes, so every term
+  that does not involve y2 is computed once per panel.  Every step of the
+  gather and the kernel is elementwise, so the result is bit-identical
+  for any block size.
 
 Per-integral tolerances are relative with a small absolute floor; the
 total relative budget is split geometrically across levels, outermost
@@ -99,8 +106,9 @@ _ABS_FLOOR = 1e-13
 
 _GAUSS2 = 0.5773502691896258  # 1/sqrt(3)
 
-# Points per call of the closed-form kernel: its dozen temporaries of this
-# length (128 KiB each) stay in L2 cache.
+# Points per call of the closed-form kernel, rounded down to whole panels of
+# 15 nodes (at least one): its dozen temporaries of this length (128 KiB
+# each) stay in L2 cache.
 _KERNEL_BLOCK = 16384
 
 
@@ -142,6 +150,12 @@ BatchIntegrand = Callable[
 ]
 
 
+def _final_panels(ids, slot, a, val, err, below, sel):
+    """(integral, start, value, total error) of the selected panels."""
+    p_err = err[sel] if below is None else err[sel] + below[sel]
+    return ids[slot[sel]], a[sel], val[sel], p_err
+
+
 def adaptive_quad_batch(
     f: BatchIntegrand,
     lo: np.ndarray,
@@ -152,11 +166,15 @@ def adaptive_quad_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptively integrate a batch of 1-D integrals with one integrand.
 
-    ``f(ids, x)`` must evaluate integral ``ids[i]`` at point ``x[i]`` for
-    all i in one vectorized call and return ``(values, err_below)``: the
-    integrand values and a nonnegative error bound carried up from any
-    nested integration inside the integrand (zeros, or None, for an
-    integrand with no inner error).
+    ``f(ids, x)`` is called with one row per panel: ``ids`` of shape (P,)
+    names the integral each panel belongs to, and ``x`` of shape (P, 15)
+    holds that panel's Kronrod nodes.  It must evaluate integral ``ids[i]``
+    at every point of row ``x[i]`` in one vectorized call and return
+    ``(values, err_below)``: the integrand values, shaped like ``x``, and a
+    nonnegative error bound of the same shape carried up from any nested
+    integration inside the integrand, or None on every call for an
+    integrand with no inner error (the engine then does no inner-error
+    work at all).
 
     Empty intervals (hi <= lo) yield 0.  Returns per-integral arrays
     ``(value, err)`` where ``err`` is the Kronrod error estimate of this
@@ -170,74 +188,82 @@ def adaptive_quad_batch(
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     m = lo.shape[0]
     live = hi > lo
-
-    out_val = np.zeros(m)
-    out_err = np.zeros(m)
     if not live.any():
-        return out_val, out_err
+        return np.zeros(m), np.zeros(m)
 
     def eval_panels(pids: np.ndarray, pa: np.ndarray, pb: np.ndarray):
         center = 0.5 * (pa + pb)
         half = 0.5 * (pb - pa)
-        x = (center[:, None] + half[:, None] * NODES).ravel()
-        vals, below = f(np.repeat(pids, NODES.size), x)
-        vals = vals.reshape(-1, NODES.size)
+        vals, below = f(pids, center[:, None] + half[:, None] * NODES)
         k15 = half * (vals @ WEIGHTS_K)
         g7 = half * (vals @ WEIGHTS_G)
         p_err = np.abs(k15 - g7)
-        if below is None:
-            p_below = np.zeros_like(k15)
-        else:
-            p_below = half * (np.abs(below).reshape(-1, NODES.size) @ WEIGHTS_K)
-        return k15, p_err, p_below
+        if below is not None:
+            below = half * (np.abs(below) @ WEIGHTS_K)
+        return k15, p_err, below
 
-    ids = np.nonzero(live)[0]
+    # Integrals still being refined hold the slots 0..n-1: ``ids`` maps a
+    # slot to its integral, and each panel records its slot.
+    ids = np.flatnonzero(live)
+    slot = np.arange(ids.size)
     a, b = lo[ids], hi[ids]
     depth = np.zeros(ids.size, dtype=np.int64)
     val, err, below = eval_panels(ids, a, b)
 
-    frozen = np.zeros(m, dtype=bool)  # given up: offending panels at max depth
+    retired = []  # per round: (integral, a, value, error) of final panels
     while True:
-        totals = np.bincount(ids, weights=val, minlength=m)
-        err_sums = np.bincount(ids, weights=err, minlength=m)
-        counts = np.maximum(np.bincount(ids, minlength=m), 1)
+        n = ids.size
+        totals = np.bincount(slot, weights=val, minlength=n)
+        err_sums = np.bincount(slot, weights=err, minlength=n)
         tol = np.maximum(rel_tol * np.abs(totals), _ABS_FLOOR)
-        needy = (err_sums > tol) & ~frozen
+        needy = err_sums > tol
 
         # split every panel of a needy integral whose error exceeds an
         # equidistributed share; the worst panel always qualifies
-        share = tol / (2.0 * counts)
-        split = needy[ids] & (err > share[ids]) & (depth < max_depth)
+        share = tol / (2.0 * np.bincount(slot, minlength=n))
+        split = needy[slot] & (err > share[slot]) & (depth < max_depth)
+
+        # an integral that splits no panel is final, converged or capped at
+        # max_depth: its panels, and so its totals, never change again
         if not split.any():
+            retired.append(_final_panels(ids, slot, a, val, err, below, slice(None)))
             break
+        splitting = np.zeros(n, dtype=bool)
+        splitting[slot[split]] = True
+        done = ~splitting[slot]
+        if done.any():
+            retired.append(_final_panels(ids, slot, a, val, err, below, done))
 
-        # a needy integral whose every oversized panel is depth-capped
-        # cannot improve further
-        could = np.bincount(ids[split], minlength=m).astype(bool)
-        frozen |= needy & ~could
-
-        keep = ~split
-        s_ids, s_a, s_b, s_d = ids[split], a[split], b[split], depth[split]
+        # survivors keep their relative order, so every bincount above adds
+        # an integral's panels in the same order whatever else retires
+        keep = ~(split | done)
+        renumber = np.cumsum(splitting) - 1
+        ids = ids[splitting]
+        s_slot = renumber[slot[split]]
+        s_a, s_b, s_d = a[split], b[split], depth[split]
         mid = 0.5 * (s_a + s_b)
-        n_ids = np.concatenate([s_ids, s_ids])
+        n_slot = np.concatenate([s_slot, s_slot])
         n_a = np.concatenate([s_a, mid])
         n_b = np.concatenate([mid, s_b])
-        n_val, n_err, n_below = eval_panels(n_ids, n_a, n_b)
+        n_val, n_err, n_below = eval_panels(ids[n_slot], n_a, n_b)
 
-        ids = np.concatenate([ids[keep], n_ids])
+        slot = np.concatenate([renumber[slot[keep]], n_slot])
         a = np.concatenate([a[keep], n_a])
         b = np.concatenate([b[keep], n_b])
         depth = np.concatenate([depth[keep], np.repeat(s_d + 1, 2)])
         val = np.concatenate([val[keep], n_val])
         err = np.concatenate([err[keep], n_err])
-        below = np.concatenate([below[keep], n_below])
+        if below is not None:
+            below = np.concatenate([below[keep], n_below])
 
     # fixed summation order: panels sorted by (integral, position)
-    order = np.lexsort((a, ids))
-    ids, val, err, below = (arr[order] for arr in (ids, val, err, below))
-    np.add.at(out_val, ids, val)
-    np.add.at(out_err, ids, err + below)
-    return out_val, out_err
+    p_ids, p_a, p_val, p_err = (np.concatenate(col) for col in zip(*retired))
+    order = np.lexsort((p_a, p_ids))
+    p_ids = p_ids[order]
+    return (
+        np.bincount(p_ids, weights=p_val[order], minlength=m),
+        np.bincount(p_ids, weights=p_err[order], minlength=m),
+    )
 
 
 def _budget_shares(levels: int) -> np.ndarray:
@@ -262,13 +288,16 @@ def _analytic_kernel(region: RegionSpec, env: Env) -> np.ndarray:
     rule in x3 exact.  Each y3 bound's coefficients are evaluated once per
     call and combined as ``AffineBound.at`` does.  Interval clamping
     (empty => 0) only ever triggers within rounding error of a region edge.
+
+    The env arrays only need to broadcast against ``env["y2"]``, whose
+    shape the result takes: the engine passes x1, y1, x2 as (P, 1) columns
+    and y2 as (P, 15), so every term that does not involve y2 is computed
+    once per panel.
     """
     _, x3_lo, x3_hi = region.vars[4]
     _, y3_lo, y3_hi = region.vars[5]
     signed = region.integrand is Integrand.SIGNED_AREA
-    m = env["x1"].shape[0]
-    e = _broadcast(x3_lo(env), m)
-    f = _broadcast(x3_hi(env), m)
+    e, f = x3_lo(env), x3_hi(env)
     half = 0.5 * (f - e)
     center = 0.5 * (f + e)
     lo_const, lo_slope = y3_lo.const(env), y3_lo.slope(env)
@@ -278,7 +307,7 @@ def _analytic_kernel(region: RegionSpec, env: Env) -> np.ndarray:
         alpha0 = 0.5 * (x1 * y2 - x2 * y1)
         alpha1 = 0.5 * (y1 - y2)
         beta = 0.5 * (x2 - x1)
-    acc = np.zeros(m)
+    acc = np.zeros(env["y2"].shape)
     for offset in (-_GAUSS2, _GAUSS2):
         x3 = center + half * offset
         c = lo_const + lo_slope * x3
@@ -324,19 +353,22 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
 
         if k + 1 < len(levels):
             def f(ids: np.ndarray, x: np.ndarray):
-                child = {v: arr[ids] for v, arr in env.items()}
-                child[name] = x
-                return recurse(k + 1, child)
+                # one child integral per node: repeat each panel's row
+                child = {v: np.repeat(arr[ids], x.shape[1]) for v, arr in env.items()}
+                child[name] = x.ravel()
+                vals, below = recurse(k + 1, child)
+                return vals.reshape(x.shape), below.reshape(x.shape)
         else:
             def f(ids: np.ndarray, x: np.ndarray):
                 # the closed form is exact: no inner error to carry up
                 nonlocal evaluations
                 evaluations += x.size
-                out = np.empty(x.size)
-                for start in range(0, x.size, _KERNEL_BLOCK):
-                    block = slice(start, start + _KERNEL_BLOCK)
+                out = np.empty(x.shape)
+                panels = max(_KERNEL_BLOCK // x.shape[1], 1)
+                for start in range(0, ids.size, panels):
+                    block = slice(start, start + panels)
                     rows = ids[block]
-                    child = {v: arr[rows] for v, arr in env.items()}
+                    child = {v: arr[rows, None] for v, arr in env.items()}
                     child[name] = x[block]
                     out[block] = _analytic_kernel(region, child)
                 return out, None

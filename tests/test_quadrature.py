@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from randtri import quadrature
+from randtri import frame, quadrature
 from randtri.quadrature import (
     NODES,
     WEIGHTS_G,
@@ -173,6 +173,31 @@ class TestAdaptiveBatch:
             )
             assert abs(together[k] - solo[0]) <= 16.0 * np.spacing(abs(solo[0]))
 
+    def test_callback_gets_panel_rows_and_skips_retired_integrals(self):
+        # integral 0 is constant and converges on its first panel; integral
+        # 1 has a kink that takes many rounds of refinement
+        def kinked(x):
+            return np.sqrt(np.abs(x - 1.0 / 3.0))
+
+        calls = []
+
+        def f(ids, x):
+            calls.append((ids.copy(), x.shape))
+            return np.where(ids[:, None] == 0, 1.0, kinked(x)), None
+
+        vals, _ = adaptive_quad_batch(f, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-8, max_depth=40)
+        assert len(calls) > 2
+        # one id per panel, one row of 15 nodes per id
+        assert all(shape == (ids.size, NODES.size) for ids, shape in calls)
+        # the constant retires after the first round and is never evaluated again
+        assert 0 in calls[0][0]
+        assert all(0 not in ids for ids, _ in calls[1:])
+        for k, fn in enumerate((np.ones_like, kinked)):
+            solo, _ = adaptive_quad_batch(
+                lambda ids, x: (fn(x), None), [0.0], [1.0], rel_tol=1e-8, max_depth=40
+            )
+            assert abs(vals[k] - solo[0]) <= 16.0 * np.spacing(abs(solo[0]))
+
     def test_rerun_is_bit_identical(self):
         args = (plain(lambda ids, x: np.sin(x) / (1.0 + x)), [0.0], [5.0])
         v1, e1 = adaptive_quad_batch(*args, rel_tol=1e-11)
@@ -317,6 +342,43 @@ def test_catalog_results_are_frozen_to_the_bit(tag, cell):
     assert got == FROZEN[tag, cell.name]
 
 
+# The same at rel_tol 1e-6 on 1.3 x 0.8, where refinement runs many more
+# rounds than at 1e-4: retiring converged integrals and broadcasting each
+# panel's outer variables across its nodes must not move these by a bit.
+FROZEN_DEEP = {
+    "I1": ("0x1.1bf47b05a9c4ep-15", "0x1.c8808bc5fb788p-39", 1630545, True),
+    "J1": ("0x1.554ac5247dafap-9", "0x1.69d146c1240bep-32", 5814825, True),
+}
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [c for c in rectangle_regions(1.3, 0.8) + normalizer_regions(1.3, 0.8)
+     if c.name in FROZEN_DEEP],
+    ids=lambda c: c.name,
+)
+def test_deep_catalog_results_are_frozen_to_the_bit(cell):
+    res = nested_quadrature(cell, QuadConfig(rel_tol=1e-6))
+    got = (res.value.hex(), res.est_error.hex(), res.evaluations, res.converged)
+    assert got == FROZEN_DEEP[cell.name]
+
+
+# frame.side_case_value(case, 0.37) at rel_tol 1e-8: the frame's two engine
+# levels, the inner one returning no inner error
+SIDE_FROZEN = {
+    1: "0x1.114e3bcd35a86p-2",
+    2: "0x1.68902de00d1b6p-1",
+    3: "0x1.99a8e448a2bf6p-1",
+    4: "0x1.3118b66895a42p-1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_FROZEN))
+def test_side_case_values_are_frozen_to_the_bit(case):
+    value = frame.side_case_value(case, 0.37, QuadConfig(rel_tol=1e-8))
+    assert value.hex() == SIDE_FROZEN[case]
+
+
 class TestBlockedKernel:
     def _record_blocks(self, monkeypatch) -> list[int]:
         sizes = []
@@ -339,7 +401,9 @@ class TestBlockedKernel:
             monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", block)
             sizes.clear()
             assert nested_quadrature(cell) == base
-            assert max(sizes) == min(block, base.evaluations)
+            # blocks hold whole panels of 15 nodes, at least one panel each
+            assert all(size % 15 == 0 for size in sizes)
+            assert max(sizes) == min(max(block // 15, 1) * 15, base.evaluations)
 
     def test_y3_coefficients_run_once_per_block(self, monkeypatch):
         calls = Counter()
