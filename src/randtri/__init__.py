@@ -34,7 +34,7 @@ from .quadrature import (
     DegenerateRegionError,
     QuadConfig,
     RegionResult,
-    expected_area_interior,
+    interior_catalog,
     nested_quadrature,
 )
 from .regions import (
@@ -45,9 +45,8 @@ from .regions import (
     exact_reference,
     normalizer_regions,
     rectangle_regions,
+    region_catalog,
     sample_in_region,
-    square_normalizer_regions,
-    square_regions,
 )
 
 __version__ = "0.1.0"

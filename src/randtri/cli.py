@@ -30,15 +30,8 @@ from .montecarlo import (
     InteriorTriangle,
     estimate,
 )
-from .quadrature import QuadConfig, nested_quadrature
-from .regions import (
-    UnknownNameError,
-    exact_reference,
-    normalizer_regions,
-    rectangle_regions,
-    square_normalizer_regions,
-    square_regions,
-)
+from .quadrature import QuadConfig, RegionResult, interior_catalog, nested_quadrature
+from .regions import UnknownNameError, exact_reference, region_catalog
 from .report import run_report
 
 __all__ = ["RunRecord", "main"]
@@ -89,37 +82,18 @@ def _emit(record: RunRecord) -> None:
         print(json.dumps(dataclasses.asdict(record)))
 
 
-def _quad_row(name: str, value: float, est_error: float, evaluations: int,
-              converged: bool, a: float, b: float) -> dict:
-    reference = exact_reference(name, a, b)
+def _quad_row(res: RegionResult, a: float, b: float) -> dict:
+    reference = exact_reference(res.name, a, b)
     return {
-        "region": name,
-        "value": value,
-        "est_error": est_error,
-        "evaluations": evaluations,
-        "converged": converged,
+        "region": res.name,
+        "value": res.value,
+        "est_error": res.est_error,
+        "evaluations": res.evaluations,
+        "converged": res.converged,
         "reference": f"{reference.numerator}/{reference.denominator}",
         "reference_value": float(reference),
-        "rel_deviation": abs(value - float(reference)) / abs(float(reference)),
+        "rel_deviation": abs(res.value - float(reference)) / abs(float(reference)),
     }
-
-
-def _resolve_regions(name: str, a: float, b: float):
-    catalog = {r.name: r for r in rectangle_regions(a, b) + normalizer_regions(a, b)}
-    if name in catalog:
-        return [catalog[name]]
-    if a == b:
-        square = {
-            r.name: r
-            for r in square_regions(a) + square_normalizer_regions(a)
-        }
-        if name in square:
-            return [square[name]]
-    elif name in {f"I{k}" for k in range(6, 11)} | {f"J{k}" for k in range(6, 11)}:
-        raise UnknownNameError(
-            f"region {name!r} belongs to the square decomposition; it needs a == b"
-        )
-    raise UnknownNameError(f"unknown region {name!r}")
 
 
 def _check_references(names: list[str], a: float, b: float) -> None:
@@ -136,39 +110,21 @@ def _check_references(names: list[str], a: float, b: float) -> None:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
-    RectDomain(args.a, args.b)  # reject bad domains before any work
+    cells = region_catalog(args.a, args.b)  # rejects a bad domain before any work
     cfg = QuadConfig(rel_tol=args.rel_tol, max_depth=args.max_depth)
     summed = args.region == "all"
-    if summed:
-        regions = rectangle_regions(args.a, args.b) + normalizer_regions(args.a, args.b)
-    else:
-        regions = _resolve_regions(args.region, args.a, args.b)
-    names = [r.name for r in regions] + (["I15", "J15", "RESULT"] if summed else [])
+    if not summed and args.region not in cells:
+        raise UnknownNameError(f"unknown region {args.region!r}")
+    # each mirror cell shares its partner's reference, so checking all
+    # twenty cells rejects no domain that the ten printed cells accept
+    names = [*cells, "I15", "J15", "RESULT"] if summed else [args.region]
     _check_references(names, args.a, args.b)
     t0 = time.perf_counter()
-    rows = []
-    results = {}
-    for region in regions:
-        res = nested_quadrature(region, cfg)
-        results[res.name] = res
-        rows.append(
-            _quad_row(res.name, res.value, res.est_error, res.evaluations,
-                      res.converged, args.a, args.b)
-        )
     if summed:
-        i_sum = sum(results[f"I{k}"].value for k in range(1, 6))
-        j_sum = sum(results[f"J{k}"].value for k in range(1, 6))
-        i_err = sum(results[f"I{k}"].est_error for k in range(1, 6))
-        j_err = sum(results[f"J{k}"].est_error for k in range(1, 6))
-        evals = sum(r.evaluations for r in results.values())
-        conv = all(r.converged for r in results.values())
-        rows.append(_quad_row("I15", i_sum, i_err, evals, conv, args.a, args.b))
-        rows.append(_quad_row("J15", j_sum, j_err, evals, conv, args.a, args.b))
-        # first-order error propagation for the quotient
-        ratio_err = (i_err + (i_sum / j_sum) * j_err) / j_sum
-        rows.append(
-            _quad_row("RESULT", i_sum / j_sum, ratio_err, evals, conv, args.a, args.b)
-        )
+        results = interior_catalog(args.a, args.b, cfg).values()
+    else:
+        results = [nested_quadrature(cells[args.region], cfg)]
+    rows = [_quad_row(res, args.a, args.b) for res in results]
     record = RunRecord(
         command="quad",
         parameters={
@@ -318,7 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     quad.add_argument(
         "--region",
         default="all",
-        help="I1..I5, J1..J5 (I6..I10, J6..J10 when a == b), or 'all'",
+        help="one cell, I1..I10 or J1..J10, or 'all': I1..I5, J1..J5 and "
+        "their sums I15, J15 and mean RESULT",
     )
     quad.add_argument("--rel-tol", type=float, default=1e-4)
     quad.add_argument("--max-depth", type=int, default=12)
@@ -329,7 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--n", type=int, default=1_000_000)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--chunks", type=int, default=64)
-    mc.add_argument("--threads", type=int, default=None)
+    mc.add_argument("--threads", type=int, default=None,
+                    help="worker threads, capped at the CPU count and at --chunks "
+                    "(default: the cap); never changes the numbers")
     mc.add_argument("--a", type=float, default=None,
                     help="rectangle width (interior) or cube side (tetra); default 1")
     mc.add_argument("--b", type=float, default=None,

@@ -155,9 +155,9 @@ def estimate(
     """Estimate the problem's mean over n i.i.d. samples.
 
     Work is split into ``chunks`` independent substreams; the first
-    n mod chunks of them take one extra sample.  ``threads`` caps the
-    worker pool (default: one per CPU, at most one per chunk) and has no
-    effect on any returned field.
+    n mod chunks of them take one extra sample.  The worker pool holds
+    ``min(threads, chunks, CPU count)`` threads (``threads`` defaults to
+    the CPU count); its size has no effect on any returned field.
     """
     n = int(n)
     chunks = int(chunks)
@@ -173,7 +173,8 @@ def estimate(
 
     base, extra = divmod(n, chunks)
     sizes = [base + (1 if i < extra else 0) for i in range(chunks)]
-    workers = threads if threads is not None else min(chunks, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(threads or cpus, chunks, cpus)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(

@@ -43,7 +43,9 @@ The engine returns a value and an error estimate per integral and no
 verdict; the caller decides convergence by comparing the two (the
 QUADPACK contract).  ``nested_quadrature`` makes that comparison once, on
 the outermost integral, with the same acceptance test the engine applies
-to each integral: ``est_error <= max(rel_tol * |value|, 1e-13)``.
+to each integral: ``est_error <= max(rel_tol * |value|, 1e-13)``;
+``interior_catalog`` decides its sums and their quotient by that test
+too.
 
 The kernel is the closed form for fixed p1 and p2: the integrand (signed
 area or 1) is affine in y3, and its integral between y3 bounds affine in
@@ -72,7 +74,7 @@ __all__ = [
     "QuadConfig",
     "RegionResult",
     "adaptive_quad_batch",
-    "expected_area_interior",
+    "interior_catalog",
     "nested_quadrature",
 ]
 
@@ -250,7 +252,7 @@ def adaptive_quad_batch(
         slot = np.concatenate([renumber[slot[keep]], n_slot])
         a = np.concatenate([a[keep], n_a])
         b = np.concatenate([b[keep], n_b])
-        depth = np.concatenate([depth[keep], np.repeat(s_d + 1, 2)])
+        depth = np.concatenate([depth[keep], s_d + 1, s_d + 1])
         val = np.concatenate([val[keep], n_val])
         err = np.concatenate([err[keep], n_err])
         if below is not None:
@@ -286,8 +288,9 @@ def _analytic_kernel(region: RegionSpec, env: Env) -> np.ndarray:
     evaluated at the two y3 bounds; those bounds are affine in x3, which
     makes the result a polynomial of degree <= 2 in x3 and a 2-point Gauss
     rule in x3 exact.  Each y3 bound's coefficients are evaluated once per
-    call and combined as ``AffineBound.at`` does.  Interval clamping
-    (empty => 0) only ever triggers within rounding error of a region edge.
+    call and combined at both x3 nodes, as ``AffineBound`` does at one.
+    Interval clamping (empty => 0) only ever triggers within rounding
+    error of a region edge.
 
     The env arrays only need to broadcast against ``env["y2"]``, whose
     shape the result takes: the engine passes x1, y1, x2 as (P, 1) columns
@@ -382,25 +385,51 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     # the quadrature estimate can fall below the rounding noise of the
     # final panel summation; the reported bound must not
     est_error = max(float(errors[0]), 4.0 * float(np.spacing(abs(value))))
+    return _result(region.name, value, est_error, evaluations, cfg.rel_tol)
+
+
+def _result(
+    name: str, value: float, est_error: float, evaluations: int, rel_tol: float
+) -> RegionResult:
+    """A result whose ``converged`` says that the requested tolerance was met."""
     return RegionResult(
-        name=region.name,
+        name=name,
         value=value,
         est_error=est_error,
         evaluations=evaluations,
-        converged=est_error <= max(cfg.rel_tol * abs(value), _ABS_FLOOR),
+        converged=est_error <= max(rel_tol * abs(value), _ABS_FLOOR),
     )
 
 
-def expected_area_interior(
+def interior_catalog(
     a: float, b: float, cfg: QuadConfig = QuadConfig()
-) -> float:
-    """Mean area of a triangle with vertices uniform in an a x b rectangle.
+) -> dict[str, RegionResult]:
+    """The interior mean of an a x b rectangle and every term it is made of.
 
-    Evaluates the signed sum over the ascending cells divided by the
-    matching measure sum; the exact value is 11*a*b/144.  Quadrature
-    errors of numerator and denominator combine, so expect agreement to a
-    small multiple of cfg.rel_tol.
+    Rows, in order: the ascending cells I1..I5 and J1..J5, their sums I15
+    (exact 11*(a*b)**4/1728) and J15 (exact (a*b)**3/12), and the mean
+    area RESULT = I15/J15 (exact 11*a*b/144).  A sum carries the summed
+    ``est_error`` and evaluations of its five cells; RESULT carries the
+    first-order error of the quotient and the evaluations of all ten.
+    Every row's ``converged`` is the test ``nested_quadrature`` applies.
     """
-    signed = sum(nested_quadrature(r, cfg).value for r in rectangle_regions(a, b))
-    measure = sum(nested_quadrature(r, cfg).value for r in normalizer_regions(a, b))
-    return signed / measure
+    rows = {
+        region.name: nested_quadrature(region, cfg)
+        for region in rectangle_regions(a, b) + normalizer_regions(a, b)
+    }
+    for total in ("I15", "J15"):
+        cells = [rows[f"{total[0]}{k}"] for k in range(1, 6)]
+        rows[total] = _result(
+            total,
+            sum(r.value for r in cells),
+            sum(r.est_error for r in cells),
+            sum(r.evaluations for r in cells),
+            cfg.rel_tol,
+        )
+    i15, j15 = rows["I15"], rows["J15"]
+    mean = i15.value / j15.value
+    est_error = (i15.est_error + mean * j15.est_error) / j15.value
+    rows["RESULT"] = _result(
+        "RESULT", mean, est_error, i15.evaluations + j15.evaluations, cfg.rel_tol
+    )
+    return rows

@@ -15,11 +15,11 @@ cells on which that sign is constant:
 
 Five cells cover the ascending half.  Mirroring the rectangle top to
 bottom swaps the halves, so the five-cell catalog already determines the
-mean; the square builder also constructs the five descending cells
-explicitly so the mirror identities can be checked rather than assumed.
-The mean area is the signed sum of the area integrals over the cells
-divided by the unit-integrand sum (the measure of the ordered half, one
-sixth of the full configuration volume).
+mean; ``region_catalog`` also constructs the five descending cells
+explicitly, on any rectangle, so the mirror identities can be checked
+rather than assumed.  The mean area is the signed sum of the area
+integrals over the cells divided by the unit-integrand sum (the measure
+of the ordered half, one sixth of the full configuration volume).
 
 Bounds are callables of the already-bound outer variables, vectorized
 over numpy arrays.  The innermost (y3) bounds must be AffineBound, affine
@@ -50,9 +50,8 @@ __all__ = [
     "exact_reference",
     "normalizer_regions",
     "rectangle_regions",
+    "region_catalog",
     "sample_in_region",
-    "square_normalizer_regions",
-    "square_regions",
 ]
 
 # bound variables by name; bounds may add derived entries (see _per_env)
@@ -72,18 +71,14 @@ class AffineBound:
     """A bound of the form const(outer) + slope(outer) * x3.
 
     The coefficient functions may depend on x1, y1, x2, y2 only.  Calling
-    the bound like a plain BoundFn reads x3 from the environment; ``at``
-    evaluates it for explicitly supplied x3 values.
+    the bound like a plain BoundFn reads x3 from the environment.
     """
 
     const: BoundFn
     slope: BoundFn
 
-    def at(self, env: Env, x3):
-        return self.const(env) + self.slope(env) * x3
-
     def __call__(self, env: Env):
-        return self.at(env, env["x3"])
+        return self.const(env) + self.slope(env) * env["x3"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,25 +269,21 @@ def normalizer_regions(a: float, b: float) -> list[RegionSpec]:
     return _ascending_cells(RectDomain(float(a), float(b)), Integrand.ONE, "J")
 
 
-def square_regions(a: float) -> list[RegionSpec]:
-    """All ten signed-area cells of the square, I1..I10.
+def region_catalog(a: float, b: float) -> dict[str, RegionSpec]:
+    """All twenty cells of an a x b rectangle by name: I1..I10, then J1..J10.
 
-    The descending five are built from their own bounds rather than by
-    aliasing the ascending five, so the mirror identities (I6=I4, I7=I5,
-    I8=I1, I9=I2, I10=I3) are genuine cross-checks.
+    The descending five of each kind are built from their own bounds
+    rather than by aliasing the ascending five, so the mirror identities
+    (cell 6 = 4, 7 = 5, 8 = 1, 9 = 2, 10 = 3) are genuine cross-checks.
+    The I cells sum to 11*(a*b)**4/864 and the J cells to (a*b)**3/6.
     """
-    square = RectDomain(float(a), float(a))
-    return _ascending_cells(square, Integrand.SIGNED_AREA, "I") + _descending_cells(
-        square, Integrand.SIGNED_AREA, "I"
-    )
-
-
-def square_normalizer_regions(a: float) -> list[RegionSpec]:
-    """Unit-integrand twins J1..J10 of the square cells; they sum to a**6/6."""
-    square = RectDomain(float(a), float(a))
-    return _ascending_cells(square, Integrand.ONE, "J") + _descending_cells(
-        square, Integrand.ONE, "J"
-    )
+    domain = RectDomain(float(a), float(b))
+    return {
+        cell.name: cell
+        for integrand, prefix in ((Integrand.SIGNED_AREA, "I"), (Integrand.ONE, "J"))
+        for half in (_ascending_cells, _descending_cells)
+        for cell in half(domain, integrand, prefix)
+    }
 
 
 class UnknownNameError(ValueError):

@@ -26,15 +26,8 @@ from .montecarlo import (
     InteriorTriangle,
     estimate,
 )
-from .quadrature import QuadConfig, expected_area_interior, nested_quadrature
-from .regions import (
-    exact_reference,
-    normalizer_regions,
-    rectangle_regions,
-    sample_in_region,
-    square_normalizer_regions,
-    square_regions,
-)
+from .quadrature import QuadConfig, interior_catalog, nested_quadrature
+from .regions import Integrand, exact_reference, region_catalog, sample_in_region
 
 __all__ = ["CRITERIA", "run_criterion", "run_report"]
 
@@ -65,16 +58,13 @@ def _rel(value: float, reference) -> float:
 
 def _quadrature_constants() -> Verdict:
     limit_s = 60.0
-    cells = rectangle_regions(1, 1) + normalizer_regions(1, 1)
-    results, seconds = _timed(lambda: [nested_quadrature(c, _CFG) for c in cells])
-    by_name = {r.name: r.value for r in results}
-    by_name["I15"] = sum(by_name[f"I{k}"] for k in range(1, 6))
-    by_name["J15"] = sum(by_name[f"J{k}"] for k in range(1, 6))
-    devs = {name: _rel(v, exact_reference(name)) for name, v in by_name.items()}
+    rows, seconds = _timed(interior_catalog, 1, 1, _CFG)
+    devs = {name: _rel(r.value, exact_reference(name)) for name, r in rows.items()}
     worst = max(devs, key=devs.get)
     return Verdict(
         f"I1..I5, J1..J5, I15={exact_reference('I15')}, "
-        f"J15={exact_reference('J15')}, each exact",
+        f"J15={exact_reference('J15')}, RESULT={exact_reference('RESULT')}, "
+        "each exact",
         f"worst {worst} relative deviation {devs[worst]:.3e} in {seconds:.1f} s",
         f"{_QUAD_REL:.0e} relative, full set under {limit_s:g} s",
         devs[worst] <= _QUAD_REL and seconds < limit_s,
@@ -82,10 +72,9 @@ def _quadrature_constants() -> Verdict:
 
 
 def _square_decomposition() -> Verdict:
-    areas = {r.name: nested_quadrature(r, _CFG) for r in square_regions(1.0)}
-    volumes = {r.name: nested_quadrature(r, _CFG) for r in square_normalizer_regions(1.0)}
-    big_i = sum(r.value for r in areas.values())
-    big_j = sum(r.value for r in volumes.values())
+    cells = {name: nested_quadrature(r, _CFG) for name, r in region_catalog(1, 1).items()}
+    big_i = sum(cells[f"I{k}"].value for k in range(1, 11))
+    big_j = sum(cells[f"J{k}"].value for k in range(1, 11))
     worst = max(
         _rel(big_i, exact_reference("II")),
         _rel(big_j, exact_reference("JJ")),
@@ -96,7 +85,7 @@ def _square_decomposition() -> Verdict:
     pairs_ok = all(
         abs(cells[f"{p}{k}"].value - cells[f"{p}{m}"].value)
         <= 2.0 * (cells[f"{p}{k}"].est_error + cells[f"{p}{m}"].est_error)
-        for p, cells in (("I", areas), ("J", volumes))
+        for p in "IJ"
         for k, m in mirror.items()
     )
     return Verdict(
@@ -110,7 +99,7 @@ def _square_decomposition() -> Verdict:
 
 def _rectangle_scale_law() -> Verdict:
     exact = exact_reference("RESULT", 2, 3)
-    value = expected_area_interior(2, 3, _CFG)
+    value = interior_catalog(2, 3, _CFG)["RESULT"].value
     dev = _rel(value, exact)
     return Verdict(
         f"mean area over 2 x 3 rectangle = {exact}",
@@ -183,7 +172,7 @@ def _monte_carlo_consistency() -> Verdict:
 
 def _interior_frame_ratio() -> Verdict:
     exact = exact_reference("RESULT") / _FRAME_MEAN
-    ratio = expected_area_interior(1, 1, _CFG) / expected_area_frame(_CFG)
+    ratio = interior_catalog(1, 1, _CFG)["RESULT"].value / expected_area_frame(_CFG)
     dev = _rel(ratio, exact)
     bound = 5e-4
     return Verdict(
@@ -265,7 +254,9 @@ def _property_suites() -> Verdict:
 
     sign_min = min(
         float((region.sign * signed_area_xy(*sample_in_region(region, cases, rng).T)).min())
-        for region in square_regions(1.0) + rectangle_regions(2, 3)
+        for a, b in ((1, 1), (2, 3))
+        for region in region_catalog(a, b).values()
+        if region.integrand is Integrand.SIGNED_AREA
     )
 
     return Verdict(

@@ -7,15 +7,15 @@ import pytest
 
 from randtri.quadrature import (
     QuadConfig,
-    expected_area_interior,
+    interior_catalog,
     nested_quadrature,
 )
 from randtri.regions import (
+    Integrand,
     exact_reference,
     normalizer_regions,
     rectangle_regions,
-    square_normalizer_regions,
-    square_regions,
+    region_catalog,
 )
 
 CFG = QuadConfig()
@@ -35,14 +35,18 @@ def norm_unit():
     return by_name(normalizer_regions(1.0, 1.0))
 
 
+def square_cells(integrand):
+    return [c for c in region_catalog(1.0, 1.0).values() if c.integrand is integrand]
+
+
 @pytest.fixture(scope="module")
 def square_unit():
-    return by_name(square_regions(1.0))
+    return by_name(square_cells(Integrand.SIGNED_AREA))
 
 
 @pytest.fixture(scope="module")
 def square_norm_unit():
-    return by_name(square_normalizer_regions(1.0))
+    return by_name(square_cells(Integrand.ONE))
 
 
 def assert_close_to_reference(result, name, a=1.0, b=1.0, rel=None):
@@ -106,25 +110,48 @@ class TestUnitSquareCells:
 
 
 class TestGeneralDomains:
-    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 4.0)])
+    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 4.0), (1.3, 0.8)])
     def test_stretched_rectangle_cells(self, a, b):
-        for region in rectangle_regions(a, b) + normalizer_regions(a, b):
+        # all twenty cells: the descending ones, too, on a non-square
+        for region in region_catalog(a, b).values():
             res = nested_quadrature(region, CFG)
             assert_close_to_reference(res, res.name, a, b)
 
     def test_mean_area_unit_square(self):
-        mean = expected_area_interior(1.0, 1.0, CFG)
+        mean = interior_catalog(1.0, 1.0, CFG)["RESULT"].value
         assert abs(mean - 11.0 / 144.0) <= 2e-4 * (11.0 / 144.0)
 
     def test_mean_area_two_by_three(self):
-        mean = expected_area_interior(2.0, 3.0, CFG)
+        mean = interior_catalog(2.0, 3.0, CFG)["RESULT"].value
         assert abs(mean - 11.0 / 24.0) <= 2e-4 * (11.0 / 24.0)
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_mean_scales_with_area(self, lam):
-        base = expected_area_interior(1.0, 1.0, CFG)
-        scaled = expected_area_interior(lam, lam, CFG)
+        base = interior_catalog(1.0, 1.0, CFG)["RESULT"].value
+        scaled = interior_catalog(lam, lam, CFG)["RESULT"].value
         assert abs(scaled - lam * lam * base) <= 3e-4 * lam * lam * base
+
+    @pytest.mark.parametrize("a,b,rel_tol", [(1.0, 1.0, 1e-4), (1.3, 0.8, 1e-6)])
+    def test_interior_catalog_rows(self, a, b, rel_tol):
+        cfg = QuadConfig(rel_tol=rel_tol)
+        rows = interior_catalog(a, b, cfg)
+        cells = rectangle_regions(a, b) + normalizer_regions(a, b)
+        assert list(rows) == [c.name for c in cells] + ["I15", "J15", "RESULT"]
+        for name, res in rows.items():
+            assert res.name == name
+            assert res.converged == (
+                res.est_error <= max(rel_tol * abs(res.value), 1e-13)
+            ), name
+            truth = float(exact_reference(name, a, b))
+            assert abs(res.value - truth) <= res.est_error, name
+        for total in ("I15", "J15"):
+            parts = [rows[f"{total[0]}{k}"] for k in range(1, 6)]
+            assert rows[total].value == sum(r.value for r in parts)
+            assert rows[total].est_error == sum(r.est_error for r in parts)
+            assert rows[total].evaluations == sum(r.evaluations for r in parts)
+        i15, j15, result = rows["I15"], rows["J15"], rows["RESULT"]
+        assert result.value == i15.value / j15.value
+        assert result.evaluations == i15.evaluations + j15.evaluations
 
     def test_single_cell_spot_values(self):
         res = nested_quadrature(rectangle_regions(1.0, 1.0)[4], CFG)

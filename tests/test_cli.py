@@ -79,6 +79,10 @@ class TestQuad:
             by_name["RESULT"]["value"], 11.0 / 144.0, rel_tol=1e-3
         )
         assert by_name["I15"]["reference"] == "11/1728"
+        # each sum counts the evaluations of its own five cells
+        for total in ("I15", "J15"):
+            cells = [by_name[f"{total[0]}{k}"]["evaluations"] for k in range(1, 6)]
+            assert by_name[total]["evaluations"] == sum(cells)
 
     def test_rectangle_domain_scales_reference(self):
         rec = run_json(["quad", "--region", "J3", "--a", "2", "--b", "3"])
@@ -92,10 +96,11 @@ class TestQuad:
         (row,) = rec["results"]
         assert math.isclose(row["value"], (37.0 / 34560.0) * 4.0**4, rel_tol=1e-3)
 
-    def test_descending_region_rejected_off_square(self):
-        code, _, err = run_cli(["quad", "--region", "I7", "--a", "2", "--b", "3"])
-        assert code == 2
-        assert "square" in err.lower()
+    def test_descending_region_on_rectangle(self):
+        rec = run_json(["quad", "--region", "I7", "--a", "2", "--b", "3"])
+        (row,) = rec["results"]
+        assert row["converged"] is True
+        assert math.isclose(row["value"], (37.0 / 34560.0) * 6.0**4, rel_tol=1e-3)
 
     def test_unknown_region_is_usage_error(self):
         code, _, err = run_cli(["quad", "--region", "K1"])

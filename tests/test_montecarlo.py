@@ -1,9 +1,11 @@
 """Seeded sampling estimates: reproducibility, statistics, and validation."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from randtri import montecarlo
 from randtri.geometry import CubeDomain, RectDomain
 from randtri.montecarlo import (
     TETRA_MEAN,
@@ -58,6 +60,23 @@ class TestDeterminism:
             PROBLEMS["interior"], 100_000, seed=7, chunks=32, threads=threads
         )
         assert base == other
+
+    def test_pool_never_exceeds_cpus_or_chunks(self, monkeypatch):
+        # record the requested pool size, but run every pool on one thread,
+        # so a broken bound cannot start a thread per requested worker
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        for threads, chunks, want in ((10**6, 8, 4), (10**6, 3, 3), (2, 8, 2),
+                                      (None, 8, 4), (None, 3, 3)):
+            estimate(PROBLEMS["frame"], 1_000, seed=5, chunks=chunks, threads=threads)
+            assert sizes[-1] == want, (threads, chunks)
 
     def test_seed_changes_the_estimate(self):
         a = estimate(PROBLEMS["interior"], 10_000, seed=0, chunks=8)

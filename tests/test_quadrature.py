@@ -24,8 +24,7 @@ from randtri.regions import (
     RegionSpec,
     normalizer_regions,
     rectangle_regions,
-    square_normalizer_regions,
-    square_regions,
+    region_catalog,
 )
 
 
@@ -172,6 +171,24 @@ class TestAdaptiveBatch:
                 plain(lambda ids, x: fn(x)), [0.0], [float(k + 1)], rel_tol=1e-9
             )
             assert abs(together[k] - solo[0]) <= 16.0 * np.spacing(abs(solo[0]))
+
+    def test_batched_depth_caps_match_solo_runs(self):
+        # panels of different depths split in one round: each child must
+        # carry its own parent's depth + 1, as in a solo run, or max_depth
+        # caps the wrong panels
+        kinks = np.array([1.0 / 3.0, 0.7, 0.123, 0.91])
+        his = [1.0, 2.0, 1.0, 3.0]
+        kw = {"rel_tol": 1e-8, "max_depth": 3}
+
+        def batched(ids, x):
+            return np.sqrt(np.abs(x - kinks[ids, None])), None
+
+        together, _ = adaptive_quad_batch(batched, np.zeros(kinks.size), his, **kw)
+        for k, (kink, hi) in enumerate(zip(kinks, his)):
+            solo, _ = adaptive_quad_batch(
+                lambda ids, x: (np.sqrt(np.abs(x - kink)), None), [0.0], [hi], **kw
+            )
+            assert abs(together[k] - solo[0]) <= 16.0 * np.spacing(abs(solo[0])), k
 
     def test_callback_gets_panel_rows_and_skips_retired_integrals(self):
         # integral 0 is constant and converges on its first panel; integral
@@ -327,9 +344,9 @@ FROZEN = {
 
 def _frozen_cells():
     rect = rectangle_regions(1.3, 0.8) + normalizer_regions(1.3, 0.8)
-    square = square_regions(1.0) + square_normalizer_regions(1.0)
     cells = [("rect", c) for c in rect]
-    cells += [("square", c) for c in square if ("square", c.name) in FROZEN]
+    cells += [("square", c) for c in region_catalog(1.0, 1.0).values()
+              if ("square", c.name) in FROZEN]
     return cells
 
 
