@@ -16,12 +16,19 @@ integrals.  Three design points matter for speed and robustness:
   its panels retire from the round arrays and no later round touches
   them; the survivors keep their order, and so their summation order.
 
-* **Open rules on normalized panels.**  Each panel is mapped affinely onto
-  [-1, 1] and the Kronrod nodes are strictly interior, so the integrand is
-  never evaluated exactly on a region edge.  For the catalog regions the
-  x2 level spans [x1, a], making this exactly the substitution
-  x2 = x1 + u*(a - x1) that keeps the slope (y2-y1)/(x2-x1) finite at
-  every evaluation point.
+* **Open rules on normalized panels, and a graded x2 level.**  Each panel
+  is mapped affinely onto [-1, 1] and the Kronrod nodes are strictly
+  interior, so the integrand is never evaluated exactly on a region edge.
+  Every catalog cell has x2 in [x1, a], and the chord slope
+  (y2-y1)/(x2-x1) blows up as x2 -> x1: after the y2 integral the x2
+  integrand behaves like h*log(h) with h = x2 - x1, and bisection toward
+  that endpoint cost most of all kernel evaluations.  So the x2 level
+  integrates over s in [0, 1] with x2 = lo + (hi - lo)*s**3 and the
+  Jacobian 3*(hi - lo)*s**2, which makes the integrand smooth at s = 0
+  (a polynomial change of variable, as in Sidi 1993 or Davis and
+  Rabinowitz 1984).  x2 = lo is still never evaluated, so the slope stays
+  finite at every evaluation point.  The map applies to every region,
+  because ``RegionSpec`` fixes the variable order.
 
 * **A blocked innermost level.**  The y2 level's batch reaches hundreds
   of thousands of points, and the closed-form x3/y3 kernel makes a dozen
@@ -281,6 +288,24 @@ def _broadcast(value, m: int) -> np.ndarray:
     return arr
 
 
+def _graded(f: BatchIntegrand, lo: np.ndarray, width: np.ndarray) -> BatchIntegrand:
+    """``f`` on [lo, lo + width] as an integrand over s in [0, 1].
+
+    The map x = lo + width * s**3 has the Jacobian 3 * width * s**2, which
+    vanishes to second order at s = 0 and so flattens an endpoint
+    singularity at x = lo, such as x * log(x), into a smooth integrand.
+    The Jacobian scales the inner error bound along with the values.
+    """
+
+    def graded(ids: np.ndarray, s: np.ndarray):
+        w = width[ids, None]
+        vals, below = f(ids, lo[ids, None] + w * (s * s * s))
+        jacobian = 3.0 * w * (s * s)
+        return vals * jacobian, below * jacobian
+
+    return graded
+
+
 def _analytic_kernel(region: RegionSpec, env: Env) -> np.ndarray:
     """Closed-form kernel for the x3 and y3 integrals at each (x1, y1, x2, y2).
 
@@ -326,7 +351,10 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     """Evaluate one region of the catalog by iterated adaptive quadrature.
 
     The returned value includes the region's sign, so a sign-consistent
-    region yields a nonnegative value.  ``est_error`` is a (possibly
+    region yields a nonnegative value.  The x2 level runs on the graded
+    variable s, x2 = lo + (hi - lo) * s**3, whose Jacobian scales both the
+    integrand and the error carried up from the y2 level; every other
+    level integrates its variable directly.  ``est_error`` is a (possibly
     loose) bound combining the outer Kronrod estimates with the error
     budgets propagated from inner levels.  ``converged`` is exactly
     ``est_error <= max(cfg.rel_tol * |value|, 1e-13)``: the requested
@@ -361,6 +389,13 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
                 child[name] = x.ravel()
                 vals, below = recurse(k + 1, child)
                 return vals.reshape(x.shape), below.reshape(x.shape)
+
+            if name == "x2":
+                # graded at its lower end, x2 = x1, where the chord slope
+                # blows up: integrate s over [0, 1] with
+                # x2 = lo + (hi - lo) * s**3; an empty interval stays empty
+                f = _graded(f, lo, hi - lo)
+                lo, hi = np.zeros(m), (hi > lo).astype(float)
         else:
             def f(ids: np.ndarray, x: np.ndarray):
                 # the closed form is exact: no inner error to carry up

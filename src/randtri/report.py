@@ -9,9 +9,11 @@ dict the CLI serializes unchanged; the acceptance tests run the same table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,9 +58,20 @@ def _rel(value: float, reference) -> float:
     return abs(value - float(reference)) / abs(float(reference))
 
 
+@functools.cache
+def _unit_square_catalog():
+    """``interior_catalog(1, 1)`` and the seconds it took, computed once.
+
+    Three criteria read these ten cells; sharing one run keeps the report
+    from integrating them three times.
+    """
+    rows, seconds = _timed(interior_catalog, 1, 1, _CFG)
+    return MappingProxyType(rows), seconds
+
+
 def _quadrature_constants() -> Verdict:
     limit_s = 60.0
-    rows, seconds = _timed(interior_catalog, 1, 1, _CFG)
+    rows, seconds = _unit_square_catalog()
     devs = {name: _rel(r.value, exact_reference(name)) for name, r in rows.items()}
     worst = max(devs, key=devs.get)
     return Verdict(
@@ -72,7 +85,12 @@ def _quadrature_constants() -> Verdict:
 
 
 def _square_decomposition() -> Verdict:
-    cells = {name: nested_quadrature(r, _CFG) for name, r in region_catalog(1, 1).items()}
+    # cells 1..5 are the ascending ones interior_catalog has integrated
+    ascending, _ = _unit_square_catalog()
+    cells = {
+        name: ascending.get(name) or nested_quadrature(region, _CFG)
+        for name, region in region_catalog(1, 1).items()
+    }
     big_i = sum(cells[f"I{k}"].value for k in range(1, 11))
     big_j = sum(cells[f"J{k}"].value for k in range(1, 11))
     worst = max(
@@ -172,7 +190,8 @@ def _monte_carlo_consistency() -> Verdict:
 
 def _interior_frame_ratio() -> Verdict:
     exact = exact_reference("RESULT") / _FRAME_MEAN
-    ratio = interior_catalog(1, 1, _CFG)["RESULT"].value / expected_area_frame(_CFG)
+    rows, _ = _unit_square_catalog()
+    ratio = rows["RESULT"].value / expected_area_frame(_CFG)
     dev = _rel(ratio, exact)
     bound = 5e-4
     return Verdict(

@@ -60,6 +60,13 @@ def assert_close_to_reference(result, name, a=1.0, b=1.0, rel=None):
     )
 
 
+def meets_contract(result, a, b, rel_tol):
+    """converged, and |value - ref| <= est_error <= rel_tol * |ref| (and |value|)."""
+    truth = float(exact_reference(result.name, a, b))
+    scale = min(abs(truth), abs(result.value))
+    return result.converged and abs(result.value - truth) <= result.est_error <= rel_tol * scale
+
+
 class TestUnitSquareCells:
     def test_ascending_cells(self, rect_unit):
         for name in ("I1", "I2", "I3", "I4", "I5"):
@@ -184,16 +191,34 @@ class TestConvergence:
         assert errs[1] <= 1e-5 * truth
 
     def test_converged_is_truthful_at_tight_tolerance(self):
-        # a cell whose inner integrals hit max_depth somewhere is still
-        # converged when its total error meets the requested tolerance
-        cfg = QuadConfig(rel_tol=1e-6)
-        cells = rectangle_regions(1.0, 1.0) + normalizer_regions(1.0, 1.0)
-        for res in (nested_quadrature(cell, cfg) for cell in cells):
-            truth = float(exact_reference(res.name))
-            assert res.converged, res.name
-            assert abs(res.value - truth) <= res.est_error <= cfg.rel_tol * abs(res.value), (
-                res.name
-            )
+        # the contract on a grid: every cell of two rectangles at three
+        # tolerances is converged, and its est_error bounds the true error
+        # and meets the tolerance; a cell whose inner integrals hit
+        # max_depth somewhere still passes when its total error does
+        broken = [
+            (a, b, rel_tol, name)
+            for a, b in ((1.0, 1.0), (1.3, 0.8))
+            for rel_tol in (1e-4, 1e-6, 1e-8)
+            for name, cell in region_catalog(a, b).items()
+            if not meets_contract(nested_quadrature(cell, QuadConfig(rel_tol=rel_tol)),
+                                  a, b, rel_tol)
+        ]
+        assert not broken
+
+    @pytest.mark.parametrize("a,b,name", [(1.0, 1.0, "I1"), (1.0, 1.0, "I8"),
+                                          (1.3, 0.8, "I1"), (1.3, 0.8, "I8")])
+    def test_converged_is_truthful_at_1e_9(self, a, b, name):
+        # the smallest cells, where rel_tol * |value| nears the absolute
+        # floor 1e-13: the floor must not pass a cell whose est_error
+        # misses rel_tol * |ref|
+        res = nested_quadrature(region_catalog(a, b)[name], QuadConfig(rel_tol=1e-9))
+        assert meets_contract(res, a, b, 1e-9), res
+
+    def test_evaluations_of_the_interior_catalog(self):
+        # the graded x2 level keeps the ten cells at about 4.4M kernel
+        # evaluations; bisecting toward the log endpoint x2 = x1 takes 20M
+        rows = interior_catalog(1.0, 1.0, QuadConfig(rel_tol=1e-6))
+        assert rows["RESULT"].evaluations < 6_000_000
 
     def test_error_estimates_are_honest_at_unit_square(self, rect_unit, norm_unit):
         for store in (rect_unit, norm_unit):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import randtri
-from randtri import __version__
+from randtri import __version__, montecarlo, quadrature, report
 from randtri.cli import main
 
 
@@ -164,7 +164,9 @@ class TestMc:
             assert code == 2 and out == ""
             assert err.startswith("error:") and "binary64" in err
 
-    def test_thread_count_does_not_change_bytes(self):
+    def test_thread_count_does_not_change_bytes(self, monkeypatch):
+        # four CPUs reported, so --threads 4 runs four workers on any host
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         runs = []
         for threads in ("1", "4"):
             code, out, _ = run_cli(
@@ -227,10 +229,24 @@ class TestOutputModes:
 
 
 class TestReport:
-    def test_full_report_passes_and_writes_file(self, tmp_path):
+    def test_full_report_passes_and_writes_file(self, tmp_path, monkeypatch):
+        # three criteria read the ten ascending unit-square cells; one report
+        # integrates the twenty cells of the square and the ten of the 2 x 3
+        # scale law, each once
+        calls = []
+        nested = quadrature.nested_quadrature
+
+        def counting(region, *args, **kwargs):
+            calls.append(region.name)
+            return nested(region, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "nested_quadrature", counting)
+        monkeypatch.setattr(report, "nested_quadrature", counting)
+        report._unit_square_catalog.cache_clear()
         out_file = tmp_path / "report.json"
         code, out, _ = run_cli(["report", "--out", str(out_file)])
         assert code == 0
+        assert len(calls) <= 20 + 10, sorted(calls)
         rec = json.loads(out)
         criteria = {row["criterion"]: row for row in rec["results"]}
         assert len(criteria) == 9

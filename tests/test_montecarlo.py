@@ -54,11 +54,23 @@ class TestDeterminism:
         assert a == b
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_thread_count_is_invisible(self, threads):
+    def test_thread_count_is_invisible(self, threads, monkeypatch):
+        # with four CPUs reported, the pool really runs the requested number
+        # of workers, even on a host with fewer CPUs
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         base = estimate(PROBLEMS["interior"], 100_000, seed=7, chunks=32, threads=1)
         other = estimate(
             PROBLEMS["interior"], 100_000, seed=7, chunks=32, threads=threads
         )
+        assert sizes == [1, threads]
         assert base == other
 
     def test_pool_never_exceeds_cpus_or_chunks(self, monkeypatch):
