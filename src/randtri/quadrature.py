@@ -16,30 +16,42 @@ integrals.  Three design points matter for speed and robustness:
   its panels retire from the round arrays and no later round touches
   them; the survivors keep their order, and so their summation order.
 
-* **Open rules on normalized panels, and a graded x2 level.**  Each panel
-  is mapped affinely onto [-1, 1] and the Kronrod nodes are strictly
-  interior, so the integrand is never evaluated exactly on a region edge.
-  Every catalog cell has x2 in [x1, a], and the chord slope
-  (y2-y1)/(x2-x1) blows up as x2 -> x1: after the y2 integral the x2
-  integrand behaves like h*log(h) with h = x2 - x1, and bisection toward
-  that endpoint cost most of all kernel evaluations.  So the x2 level
-  integrates over s in [0, 1] with x2 = lo + (hi - lo)*s**3 and the
+* **Open rules on normalized panels, a graded x2 level and a log-scaled
+  y2 level.**  Each panel is mapped affinely onto [-1, 1] and the Kronrod
+  nodes are strictly interior, so the integrand is never evaluated
+  exactly on a region edge.  Every catalog cell has x2 in [x1, a], and the
+  chord slope (y2-y1)/(x2-x1) blows up as x2 -> x1: after the y2 integral
+  the x2 integrand behaves like h*log(h) with h = x2 - x1, and bisection
+  toward that endpoint cost most of all kernel evaluations.  So the x2
+  level integrates over s in [0, 1] with x2 = lo + (hi - lo)*s**3 and the
   Jacobian 3*(hi - lo)*s**2, which makes the integrand smooth at s = 0
   (a polynomial change of variable, as in Sidi 1993 or Davis and
   Rabinowitz 1984).  x2 = lo is still never evaluated, so the slope stays
-  finite at every evaluation point.  The map applies to every region,
-  because ``RegionSpec`` fixes the variable order.
+  finite at every evaluation point.
+  The chord's exit point (where it reaches y = b, or y = 0 for a falling
+  chord) has a pole at y2 = y1.  In the steep-chord cells 1-3 the y2
+  interval starts at the corner line, a distance proportional to x2 - x1
+  above y1, and cells 8-10 end the same distance below it; at the small
+  x2 - x1 that the graded level samples, the y2 integrand is nearly
+  singular at that end, and bisection toward it cost most of the
+  remaining evaluations.  So each y2 integral whose interval lies strictly
+  on one side of y1 integrates over t in [0, 1] with
+  |y2 - y1| = near*(far/near)**t, near and far being the distances from
+  y1 to its ends, and the Jacobian |y2 - y1|*log(far/near) (a log change
+  of variable, as in Johnston and Elliott 2005).  An integral with y2 = y1
+  as an endpoint (cells 4-7) keeps y2 as its variable.  Both maps apply
+  to every region, because ``RegionSpec`` fixes the variable order.
 
 * **A blocked innermost level.**  The y2 level's batch reaches hundreds
   of thousands of points, and the closed-form x3/y3 kernel makes a dozen
   temporaries of that length, which spill out of a few-MB L2 cache.  So
   its callback runs the kernel in blocks of whole panels, about
   ``_KERNEL_BLOCK`` points each, into one output array; each block stays
-  cache-resident.  It gathers x1, y1 and x2 once per panel as a column,
-  and numpy broadcasts them across the panel's 15 y2 nodes, so every term
-  that does not involve y2 is computed once per panel.  Every step of the
-  gather and the kernel is elementwise, so the result is bit-identical
-  for any block size.
+  cache-resident.  It gathers x1, y1, x2 and the y2 map's constants once
+  per panel as a column, and numpy broadcasts them across the panel's 15
+  y2 nodes, so every term that does not involve y2 is computed once per
+  panel.  Every step of the gather, the map and the kernel is
+  elementwise, so the result is bit-identical for any block size.
 
 Per-integral tolerances are relative with a small absolute floor; the
 total relative budget is split geometrically across levels, outermost
@@ -306,6 +318,49 @@ def _graded(f: BatchIntegrand, lo: np.ndarray, width: np.ndarray) -> BatchIntegr
     return graded
 
 
+def _log_scale(lo: np.ndarray, hi: np.ndarray, pole: np.ndarray):
+    """Put each integral of a batch on a log scale away from its pole.
+
+    An integral whose interval [lo, hi] lies strictly on one side of its
+    pole p runs over t in [0, 1] with |y - p| = near * (far / near)**t,
+    where near and far are the distances from p to the interval's ends; the
+    Jacobian is |y - p| * log(far / near).  An integrand that behaves like
+    1 / (y - p) or log|y - p| is then smooth in t, however close the pole
+    comes to the interval (a log change of variable, as in Johnston and
+    Elliott 2005).  Every other integral (p an endpoint or inside, or the
+    interval empty) keeps y = t with the Jacobian 1.0, so its values do not
+    change by a bit.
+
+    Returns the new bounds and ``to_y(ids, t)``, which maps the nodes ``t``
+    of panels of the integrals ``ids``, one row per panel, to ``(y,
+    jacobian)``; it gathers the per-integral constants as (P, 1) columns.
+    """
+    above = lo > pole
+    mapped = (above | (hi < pole)) & (hi > lo)
+    start = np.where(above, lo, hi)  # the end nearer the pole
+    near = np.where(mapped, np.abs(start - pole), 1.0)
+    # log(far / near) as log1p(width / near), and y - start through expm1:
+    # both keep their relative precision when the pole is far from a narrow
+    # interval
+    log_ratio = np.log1p(np.where(mapped, hi - lo, 0.0) / near)
+    step = np.where(above, near, -near)
+
+    def to_y(ids: np.ndarray, t: np.ndarray):
+        scaled = mapped[ids]
+        if not scaled.any():
+            return t, 1.0
+        rate = log_ratio[ids, None]
+        grow = np.expm1(t * rate)
+        y = start[ids, None] + step[ids, None] * grow
+        jacobian = (near[ids, None] * rate) * (1.0 + grow)
+        if not scaled.all():
+            y = np.where(scaled[:, None], y, t)
+            jacobian = np.where(scaled[:, None], jacobian, 1.0)
+        return y, jacobian
+
+    return np.where(mapped, 0.0, lo), np.where(mapped, 1.0, hi), to_y
+
+
 def _analytic_kernel(region: RegionSpec, env: Env) -> np.ndarray:
     """Closed-form kernel for the x3 and y3 integrals at each (x1, y1, x2, y2).
 
@@ -353,10 +408,14 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     The returned value includes the region's sign, so a sign-consistent
     region yields a nonnegative value.  The x2 level runs on the graded
     variable s, x2 = lo + (hi - lo) * s**3, whose Jacobian scales both the
-    integrand and the error carried up from the y2 level; every other
-    level integrates its variable directly.  ``est_error`` is a (possibly
-    loose) bound combining the outer Kronrod estimates with the error
-    budgets propagated from inner levels.  ``converged`` is exactly
+    integrand and the error carried up from the y2 level.  Each y2
+    integral whose interval lies strictly on one side of y1 runs on the
+    log-scaled variable t of ``_log_scale``, whose Jacobian scales the
+    kernel values (the closed-form kernel carries no error up); the others
+    integrate y2 directly, as the x1 and y1 levels integrate theirs.
+    ``est_error`` is a (possibly loose) bound combining the outer Kronrod
+    estimates with the error budgets propagated from inner levels.
+    ``converged`` is exactly
     ``est_error <= max(cfg.rel_tol * |value|, 1e-13)``: the requested
     tolerance was met.  The absolute floor 1e-13 keeps zero-valued regions
     converged; on domains so small that rel_tol * |value| < 1e-13 (roughly
@@ -397,18 +456,23 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
                 f = _graded(f, lo, hi - lo)
                 lo, hi = np.zeros(m), (hi > lo).astype(float)
         else:
-            def f(ids: np.ndarray, x: np.ndarray):
+            # on a log scale away from y2 = y1, where the chord's exit
+            # point has its pole; the map's constants are computed once per
+            # integral from the original bounds, before lo and hi are rebound
+            lo, hi, to_y2 = _log_scale(lo, hi, env["y1"])
+
+            def f(ids: np.ndarray, t: np.ndarray):
                 # the closed form is exact: no inner error to carry up
                 nonlocal evaluations
-                evaluations += x.size
-                out = np.empty(x.shape)
-                panels = max(_KERNEL_BLOCK // x.shape[1], 1)
+                evaluations += t.size
+                out = np.empty(t.shape)
+                panels = max(_KERNEL_BLOCK // t.shape[1], 1)
                 for start in range(0, ids.size, panels):
                     block = slice(start, start + panels)
                     rows = ids[block]
                     child = {v: arr[rows, None] for v, arr in env.items()}
-                    child[name] = x[block]
-                    out[block] = _analytic_kernel(region, child)
+                    child[name], jacobian = to_y2(rows, t[block])
+                    out[block] = _analytic_kernel(region, child) * jacobian
                 return out, None
 
         return adaptive_quad_batch(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import randtri
-from randtri import __version__, montecarlo, quadrature, report
+from randtri import __version__, montecarlo
 from randtri.cli import main
 
 
@@ -229,32 +229,20 @@ class TestOutputModes:
 
 
 class TestReport:
-    def test_full_report_passes_and_writes_file(self, tmp_path, monkeypatch):
+    def test_full_report_passes_and_writes_file(self, full_report):
         # three criteria read the ten ascending unit-square cells; one report
         # integrates the twenty cells of the square and the ten of the 2 x 3
         # scale law, each once
-        calls = []
-        nested = quadrature.nested_quadrature
-
-        def counting(region, *args, **kwargs):
-            calls.append(region.name)
-            return nested(region, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "nested_quadrature", counting)
-        monkeypatch.setattr(report, "nested_quadrature", counting)
-        report._unit_square_catalog.cache_clear()
-        out_file = tmp_path / "report.json"
-        code, out, _ = run_cli(["report", "--out", str(out_file)])
-        assert code == 0
-        assert len(calls) <= 20 + 10, sorted(calls)
-        rec = json.loads(out)
+        assert full_report.code == 0
+        assert len(full_report.calls) <= 20 + 10, sorted(full_report.calls)
+        rec = full_report.record
         criteria = {row["criterion"]: row for row in rec["results"]}
         assert len(criteria) == 9
         assert all(row["pass"] for row in criteria.values())
         ratio_rows = [r for r in criteria.values() if "ratio_22_45" in r]
         assert len(ratio_rows) == 1
         assert math.isclose(ratio_rows[0]["ratio_22_45"], 22.0 / 45.0, rel_tol=1e-3)
-        saved = json.loads(out_file.read_text())
+        saved = json.loads(full_report.out_file.read_text())
         assert saved["all_pass"] is True
         assert saved["version"] == __version__
         assert saved["criteria"] == rec["results"]
