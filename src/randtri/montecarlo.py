@@ -40,6 +40,7 @@ __all__ = [
     "Problem",
     "TETRA_MEAN",
     "estimate",
+    "pool_size",
 ]
 
 _BLOCK = 1 << 16
@@ -144,6 +145,15 @@ def _chunk_moments(problem: Problem, count: int, seed: int, index: int):
     return count, mean, m2
 
 
+def pool_size(threads: int | None, chunks: int) -> int:
+    """Worker threads ``estimate`` runs: ``min(threads, chunks, CPU count)``.
+
+    ``threads`` defaults to the CPU count.
+    """
+    cpus = os.cpu_count() or 1
+    return min(threads or cpus, chunks, cpus)
+
+
 def estimate(
     problem: Problem,
     n: int,
@@ -156,8 +166,8 @@ def estimate(
 
     Work is split into ``chunks`` independent substreams; the first
     n mod chunks of them take one extra sample.  The worker pool holds
-    ``min(threads, chunks, CPU count)`` threads (``threads`` defaults to
-    the CPU count); its size has no effect on any returned field.
+    ``pool_size(threads, chunks)`` threads; its size has no effect on any
+    returned field.
     """
     n = int(n)
     chunks = int(chunks)
@@ -173,10 +183,7 @@ def estimate(
 
     base, extra = divmod(n, chunks)
     sizes = [base + (1 if i < extra else 0) for i in range(chunks)]
-    cpus = os.cpu_count() or 1
-    workers = min(threads or cpus, chunks, cpus)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size(threads, chunks)) as pool:
         parts = list(
             pool.map(lambda i: _chunk_moments(problem, sizes[i], seed, i), range(chunks))
         )

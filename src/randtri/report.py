@@ -27,6 +27,7 @@ from .montecarlo import (
     FrameTriangle,
     InteriorTriangle,
     estimate,
+    pool_size,
 )
 from .quadrature import QuadConfig, interior_catalog, nested_quadrature
 from .regions import Integrand, exact_reference, region_catalog, sample_in_region
@@ -204,16 +205,19 @@ def _interior_frame_ratio() -> Verdict:
 
 
 def _thread_determinism() -> Verdict:
-    thread_counts = (1, 4)
+    requested, chunks = (1, 4), 32
     payloads = [
         json.dumps(dataclasses.asdict(
-            estimate(InteriorTriangle(), 100_000, seed=7, chunks=32, threads=threads)
+            estimate(InteriorTriangle(), 100_000, seed=7, chunks=chunks, threads=threads)
         ))
-        for threads in thread_counts
+        for threads in requested
     ]
+    # the pool sizes that ran: smaller than requested on a host with fewer CPUs
+    workers = tuple(pool_size(threads, chunks) for threads in requested)
     same = len(set(payloads)) == 1
     return Verdict(
-        f"identical serialized estimates for {thread_counts} threads",
+        f"identical serialized estimates for {workers} worker threads "
+        f"({requested} requested)",
         "byte-identical" if same else "MISMATCH",
         "byte equality",
         same,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import randtri
-from randtri import __version__, montecarlo
+from randtri import __version__, montecarlo, report
 from randtri.cli import main
 
 
@@ -246,6 +246,18 @@ class TestReport:
         assert saved["all_pass"] is True
         assert saved["version"] == __version__
         assert saved["criteria"] == rec["results"]
+
+    @pytest.mark.parametrize("cpus, workers", [(1, (1, 1)), (4, (1, 4))],
+                             ids=["one-cpu", "four-cpus"])
+    def test_thread_criterion_names_the_pools_that_ran(self, cpus, workers, monkeypatch):
+        # on one CPU both runs use one worker, and the criterion says so
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        verdict = report._thread_determinism()
+        assert verdict.passed
+        assert verdict.expected == (
+            f"identical serialized estimates for {workers} worker threads "
+            "((1, 4) requested)"
+        )
 
     def test_unwritable_out_fails_before_any_criterion(self, tmp_path, monkeypatch):
         def no_report():

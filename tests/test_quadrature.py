@@ -8,9 +8,8 @@ import pytest
 
 from randtri import frame, quadrature
 from randtri.quadrature import (
-    NODES,
-    WEIGHTS_G,
-    WEIGHTS_K,
+    GK7,
+    GK15,
     DegenerateRegionError,
     QuadConfig,
     RegionResult,
@@ -68,17 +67,42 @@ UNIT_SPANS = [(0.0, 1.0)] * 6
 class TestRuleConstants:
     def test_weights_integrate_constants(self):
         # both embedded rules integrate 1 over [-1, 1] exactly
-        assert math.isclose(WEIGHTS_K.sum(), 2.0, rel_tol=1e-14)
-        assert math.isclose(WEIGHTS_G.sum(), 2.0, rel_tol=1e-14)
+        _, weights_k, weights_g = GK15
+        assert math.isclose(weights_k.sum(), 2.0, rel_tol=1e-14)
+        assert math.isclose(weights_g.sum(), 2.0, rel_tol=1e-14)
 
     def test_nodes_symmetric_and_sorted(self):
-        assert NODES.shape == (15,)
-        assert np.all(np.diff(NODES) > 0)
-        assert np.allclose(NODES + NODES[::-1], 0.0, atol=1e-15)
+        nodes, _, _ = GK15
+        assert nodes.shape == (15,)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.allclose(nodes + nodes[::-1], 0.0, atol=1e-15)
 
     def test_gauss_weights_vanish_on_kronrod_only_nodes(self):
-        assert np.all(WEIGHTS_G[::2] == 0.0)
-        assert np.all(WEIGHTS_G[1::2] > 0.0)
+        _, _, weights_g = GK15
+        assert np.all(weights_g[::2] == 0.0)
+        assert np.all(weights_g[1::2] > 0.0)
+
+    def test_g3_k7_table(self):
+        # symmetric and sorted; the Gauss part is 3-point Gauss-Legendre at
+        # the odd indices; K7 is exact to degree 11 and G3 to degree 5, and
+        # neither one degree further
+        nodes, weights_k, weights_g = GK7
+        assert nodes.shape == weights_k.shape == weights_g.shape == (7,)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(nodes + nodes[::-1] == 0.0)
+        assert np.all(weights_k == weights_k[::-1])
+        assert np.all(weights_g[::2] == 0.0)
+        gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(3)
+        np.testing.assert_allclose(nodes[1::2], gauss_nodes, rtol=0, atol=2e-16)
+        np.testing.assert_allclose(weights_g[1::2], gauss_weights, rtol=0, atol=2e-16)
+        for degree in range(13):
+            moment = nodes**degree
+            exact = (1.0 + (-1.0) ** degree) / (degree + 1)
+            assert (abs(weights_k @ moment - exact) <= 4e-16) == (degree <= 11), degree
+            # odd moments vanish by symmetry for any degree
+            assert (abs(weights_g @ moment - exact) <= 4e-16) == (
+                degree <= 5 or degree % 2 == 1
+            ), degree
 
     def test_high_degree_polynomial(self):
         # degree 20 is beyond the embedded 7-point rule but within the
@@ -205,7 +229,7 @@ class TestAdaptiveBatch:
         vals, _ = adaptive_quad_batch(f, [0.0, 0.0], [1.0, 1.0], rel_tol=1e-8, max_depth=40)
         assert len(calls) > 2
         # one id per panel, one row of 15 nodes per id
-        assert all(shape == (ids.size, NODES.size) for ids, shape in calls)
+        assert all(shape == (ids.size, 15) for ids, shape in calls)
         # the constant retires after the first round and is never evaluated again
         assert 0 in calls[0][0]
         assert all(0 not in ids for ids, _ in calls[1:])
@@ -394,33 +418,68 @@ class TestNested:
         assert r1.est_error == r2.est_error
         assert r1.evaluations == r2.evaluations
 
+    def test_rule_per_level(self, monkeypatch):
+        # G3/K7 rows on x1 and y1, G7/K15 rows on x2 and y2; the frame's
+        # two engine levels keep the default G7/K15
+        widths = {}
+        depth = 0
+
+        def recording(engine):
+            def run(f, lo, hi, **kw):
+                nonlocal depth
+                level = depth
+
+                def rows(ids, x):
+                    widths.setdefault(level, set()).add(x.shape[1])
+                    return f(ids, x)
+
+                depth += 1
+                try:
+                    return engine(rows, lo, hi, **kw)
+                finally:
+                    depth -= 1
+
+            return run
+
+        monkeypatch.setattr(quadrature, "adaptive_quad_batch",
+                            recording(quadrature.adaptive_quad_batch))
+        monkeypatch.setattr(frame, "adaptive_quad_batch",
+                            recording(frame.adaptive_quad_batch))
+        nested_quadrature(region_catalog(1.3, 0.8)["I1"], QuadConfig(rel_tol=1e-6))
+        assert widths == {0: {7}, 1: {7}, 2: {15}, 3: {15}}
+        widths.clear()
+        frame.expected_area_frame(QuadConfig(rel_tol=1e-6))
+        assert widths == {0: {15}, 1: {15}}
+
 
 # (value.hex(), est_error.hex(), evaluations, converged) at rel_tol 1e-4,
-# with the x2 level graded as x2 = x1 + (a - x1) * s**3 and the y2 level on
-# a log scale away from y2 = y1.  Every step of the kernel level is
+# with G3/K7 panels on the x1 and y1 levels and G7/K15 on x2 and y2, the
+# x2 level graded as x2 = x1 + (a - x1) * s**3 and the y2 level on a log
+# scale away from y2 = y1.  The x1 and y1 levels split no panel on these
+# cells, so the 7-node rule resolves them on one panel, and the cells that
+# need no refinement anywhere (J4, J5, I4, I5 here) take the minimum
+# 7 * 7 * 15 * 15 = 11,025 evaluations.  Every step of the kernel level is
 # elementwise, so blocking it or sharing its bound coefficients must not
 # move these by a bit; a change to either map or to any level's rule must
 # re-capture them.  The square's cells 8..10 run the descending chord
-# bounds.  Cells 4 and 5 have y2 = y1 as an endpoint, so their y2 level
-# runs unmapped and their rows must equal those of an engine without the
-# log scale.
+# bounds.
 FROZEN = {
-    ("rect", "I1"): ("0x1.1bf47b05d3b6cp-15", "0x1.f002623933c76p-42", 147675, True),
-    ("rect", "I2"): ("0x1.982f70d86061cp-11", "0x1.c0aedf4eb29cep-29", 55125, True),
-    ("rect", "I3"): ("0x1.3693668e5f8dap-8", "0x1.4057efe5843cap-32", 77475, True),
-    ("rect", "I4"): ("0x1.51325216eb680p-11", "0x1.a3264881d81b8p-29", 50625, True),
-    ("rect", "I5"): ("0x1.4852ae3ebcca4p-10", "0x1.bf968d1c8f682p-29", 50625, True),
-    ("rect", "J1"): ("0x1.554ac517fef38p-9", "0x1.ab3327c82c86cp-31", 62595, True),
-    ("rect", "J2"): ("0x1.aa9d765e2c797p-7", "0x1.aa4dbbacb7184p-30", 61005, True),
-    ("rect", "J3"): ("0x1.7ff41dbb4ef17p-5", "0x1.4339c956cf405p-29", 57375, True),
-    ("rect", "J4"): ("0x1.aa9d765e4aff4p-7", "0x1.0000000000000p-57", 50625, True),
-    ("rect", "J5"): ("0x1.2aa16c75347f7p-6", "0x1.0000000000000p-56", 50625, True),
-    ("square", "I8"): ("0x1.e573ac901e577p-16", "0x1.a7fc76dd16870p-42", 148245, True),
-    ("square", "I9"): ("0x1.5ceb240795d96p-11", "0x1.7f8943bc644b3p-29", 55245, True),
-    ("square", "I10"): ("0x1.097b425ed096ep-8", "0x1.11d4ba4f86b1bp-32", 77535, True),
-    ("square", "J8"): ("0x1.2f684bd9dcb18p-9", "0x1.7bc77261fee2dp-31", 62655, True),
-    ("square", "J9"): ("0x1.7b425ed07c91ap-7", "0x1.7afb7dbaedbabp-30", 61065, True),
-    ("square", "J10"): ("0x1.555555555f825p-5", "0x1.1f58b4066d58fp-29", 57375, True),
+    ("rect", "I1"): ("0x1.1bf47b05d3b6ap-15", "0x1.f1e1608c86a9cp-42", 33015, True),
+    ("rect", "I2"): ("0x1.982f70d86061cp-11", "0x1.c0aee71d525e9p-29", 11955, True),
+    ("rect", "I3"): ("0x1.3693668e5f8dcp-8", "0x1.4057efcb16437p-32", 16905, True),
+    ("rect", "I4"): ("0x1.51325216eb683p-11", "0x1.a326488155408p-29", 11025, True),
+    ("rect", "I5"): ("0x1.4852ae3ebcca4p-10", "0x1.bf968d1ccb3fbp-29", 11025, True),
+    ("rect", "J1"): ("0x1.554ac517fef3ap-9", "0x1.ab3327bc862b0p-31", 13695, True),
+    ("rect", "J2"): ("0x1.aa9d765e2c795p-7", "0x1.aa4db66242981p-30", 13395, True),
+    ("rect", "J3"): ("0x1.7ff41dbb4ef18p-5", "0x1.4339c96a5dbc6p-29", 12495, True),
+    ("rect", "J4"): ("0x1.aa9d765e4aff5p-7", "0x1.0000000000000p-57", 11025, True),
+    ("rect", "J5"): ("0x1.2aa16c75347f8p-6", "0x1.0000000000000p-56", 11025, True),
+    ("square", "I8"): ("0x1.e573ac901e57ap-16", "0x1.a996be64f2ccdp-42", 33105, True),
+    ("square", "I9"): ("0x1.5ceb240795d95p-11", "0x1.7f894a6b66864p-29", 11955, True),
+    ("square", "I10"): ("0x1.097b425ed096cp-8", "0x1.11d4ba66d648ap-32", 16905, True),
+    ("square", "J8"): ("0x1.2f684bd9dcb19p-9", "0x1.7bc77267beb76p-31", 13695, True),
+    ("square", "J9"): ("0x1.7b425ed07c91bp-7", "0x1.7afb790ed8146p-30", 13425, True),
+    ("square", "J10"): ("0x1.555555555f825p-5", "0x1.1f58b3f3ad164p-29", 12495, True),
 }
 
 
@@ -444,10 +503,10 @@ def test_catalog_results_are_frozen_to_the_bit(tag, cell):
 # The same at rel_tol 1e-6 on 1.3 x 0.8, where refinement runs more rounds
 # than at 1e-4: retiring converged integrals and broadcasting each panel's
 # outer variables across its nodes must not move these by a bit.  Captured
-# with the graded x2 level and the log-scaled y2 level, like FROZEN.
+# with the same rule per level and the same maps as FROZEN.
 FROZEN_DEEP = {
-    "I1": ("0x1.1bf47b05d3b6cp-15", "0x1.80bddec89a5dfp-42", 169575, True),
-    "J1": ("0x1.554ac5183b0b3p-9", "0x1.c2097dcfce448p-37", 217035, True),
+    "I1": ("0x1.1bf47b05d3b6ap-15", "0x1.82944efecd6c3p-42", 37815, True),
+    "J1": ("0x1.554ac5183b0b1p-9", "0x1.c203de166097cp-37", 49575, True),
 }
 
 
@@ -492,7 +551,8 @@ class TestBlockedKernel:
         return sizes
 
     def test_block_size_does_not_change_results(self, monkeypatch):
-        cell = normalizer_regions(1.3, 0.8)[3]  # J4: one batch of 15**4 points
+        cell = normalizer_regions(1.3, 0.8)[3]  # J4: one batch of 7*7*15*15 points
+        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 4096)
         sizes = self._record_blocks(monkeypatch)
         base = nested_quadrature(cell)
         assert base.evaluations > 2 * quadrature._KERNEL_BLOCK
@@ -536,7 +596,7 @@ class TestBlockedKernel:
         assert calls == Counter({tag: 1 for tag in tags})
 
         calls.clear()
-        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 1000)
+        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 150)
         sizes = self._record_blocks(monkeypatch)
         nested_quadrature(region, QuadConfig(rel_tol=1e-3, max_depth=1))
         assert len(sizes) > 50
