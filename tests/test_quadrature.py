@@ -64,6 +64,30 @@ def box_region(name, integrand, spans, y3_hi=None):
 UNIT_SPANS = [(0.0, 1.0)] * 6
 
 
+def record_rows(monkeypatch, module) -> dict[int, list[int]]:
+    """Log the row width of every engine callback in ``module``, per nesting level."""
+    widths: dict[int, list[int]] = {}
+    depth = 0
+    engine = module.adaptive_quad_batch
+
+    def run(f, lo, hi, **kw):
+        nonlocal depth
+        level = depth
+
+        def rows(ids, x):
+            widths.setdefault(level, []).append(x.shape[1])
+            return f(ids, x)
+
+        depth += 1
+        try:
+            return engine(rows, lo, hi, **kw)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(module, "adaptive_quad_batch", run)
+    return widths
+
+
 class TestRuleConstants:
     def test_weights_integrate_constants(self):
         # both embedded rules integrate 1 over [-1, 1] exactly
@@ -214,7 +238,7 @@ class TestAdaptiveBatch:
             )
             assert abs(together[k] - solo[0]) <= 16.0 * np.spacing(abs(solo[0])), k
 
-    def test_callback_gets_panel_rows_and_skips_retired_integrals(self):
+    def test_callback_gets_panel_rows_and_skips_converged_integrals(self):
         # integral 0 is constant and converges on its first panel; integral
         # 1 has a kink that takes many rounds of refinement
         def kinked(x):
@@ -230,7 +254,7 @@ class TestAdaptiveBatch:
         assert len(calls) > 2
         # one id per panel, one row of 15 nodes per id
         assert all(shape == (ids.size, 15) for ids, shape in calls)
-        # the constant retires after the first round and is never evaluated again
+        # the constant converges in the first round and is never evaluated again
         assert 0 in calls[0][0]
         assert all(0 not in ids for ids, _ in calls[1:])
         for k, fn in enumerate((np.ones_like, kinked)):
@@ -253,7 +277,7 @@ def log_scaled(func, lo, hi, pole, **kw):
     calls of the integrand.
     """
     lo, hi, pole = (np.asarray(v, dtype=float) for v in (lo, hi, pole))
-    t_lo, t_hi, to_y = quadrature._log_scale(lo, hi, pole)
+    t_lo, t_hi, to_y = quadrature._log_scale(lo, hi, {"y1": pole})
     rounds = 0
 
     def f(ids, t):
@@ -282,7 +306,7 @@ class TestLogScale:
 
     def test_map_runs_from_the_near_end_to_the_far_end(self):
         lo, hi, pole = np.array([0.5, -2.0]), np.array([2.0, -0.25]), np.zeros(2)
-        t_lo, t_hi, to_y = quadrature._log_scale(lo, hi, pole)
+        t_lo, t_hi, to_y = quadrature._log_scale(lo, hi, {"y1": pole})
         assert list(t_lo) == [0.0, 0.0] and list(t_hi) == [1.0, 1.0]
         y, jacobian = to_y(np.array([0, 1]), np.array([[0.0, 1.0], [0.0, 1.0]]))
         assert y[0, 0] == 0.5 and y[1, 0] == -0.25  # t = 0: the end nearer p
@@ -294,7 +318,9 @@ class TestLogScale:
         # pole at the lower end, at the upper end, inside, and an empty
         # interval above the pole: y = t and Jacobian 1.0, exactly
         lo, hi, pole = [0.3, -1.0, 0.0, 2.0], [1.3, 0.3, 1.0, 1.5], [0.3, 0.3, 0.4, 0.0]
-        t_lo, t_hi, to_y = quadrature._log_scale(*(np.array(v) for v in (lo, hi, pole)))
+        t_lo, t_hi, to_y = quadrature._log_scale(
+            np.array(lo), np.array(hi), {"y1": np.array(pole)}
+        )
         assert list(t_lo) == lo and list(t_hi) == hi
         t = np.linspace(0.1, 0.9, 15)[None, :].repeat(4, axis=0)
         y, jacobian = to_y(np.arange(4), t)
@@ -313,12 +339,42 @@ class TestLogScale:
 
     def test_mixed_batch_maps_only_the_integrals_clear_of_their_pole(self):
         lo, hi, pole = np.array([0.3, 0.5]), np.array([1.3, 1.5]), np.array([0.3, 0.0])
-        t_lo, t_hi, to_y = quadrature._log_scale(lo, hi, pole)
+        t_lo, t_hi, to_y = quadrature._log_scale(lo, hi, {"y1": pole})
         assert list(t_lo) == [0.3, 0.0] and list(t_hi) == [1.3, 1.0]
         t = np.array([[0.4, 0.6], [0.4, 0.6]])
         y, jacobian = to_y(np.array([0, 1]), t)
         assert list(y[0]) == [0.4, 0.6] and list(jacobian[0]) == [1.0, 1.0]
         assert np.all((0.5 < y[1]) & (y[1] < 1.5)) and np.all(jacobian[1] > 0.0)
+
+
+class TestGraded:
+    def test_map_and_jacobian_at_the_ends_and_inside(self):
+        # x = lo + (hi - lo) * s**3 with the Jacobian 3 * (hi - lo) * s**2;
+        # these nodes make every product exact in binary
+        lo, hi = np.array([1.0, -2.0]), np.array([3.0, -1.0])
+        s_lo, s_hi, to_x = quadrature._graded(lo, hi, {})
+        assert list(s_lo) == [0.0, 0.0] and list(s_hi) == [1.0, 1.0]
+        s = np.array([[0.0, 0.25, 0.5, 1.0]] * 2)
+        x, jacobian = to_x(np.array([0, 1]), s)
+        assert x[0].tolist() == [1.0, 1.03125, 1.25, 3.0]
+        assert x[1].tolist() == [-2.0, -1.984375, -1.875, -1.0]
+        assert jacobian[0].tolist() == [0.0, 0.375, 1.5, 6.0]
+        assert jacobian[1].tolist() == [0.0, 0.1875, 0.75, 3.0]
+
+    def test_x_log_x_and_an_empty_interval(self):
+        # x * log(x) on [0, 1] has its log endpoint at lo and integrates to
+        # -1/4; the empty interval [2, 1.5] becomes [0, 0] and gives 0
+        s_lo, s_hi, to_x = quadrature._graded(np.array([0.0, 2.0]), np.array([1.0, 1.5]), {})
+        assert list(s_lo) == [0.0, 0.0] and list(s_hi) == [1.0, 0.0]
+
+        def f(ids, s):
+            x, jacobian = to_x(ids, s)
+            return x * np.log(x) * jacobian, None
+
+        vals, errs = adaptive_quad_batch(f, s_lo, s_hi, rel_tol=1e-10)
+        assert errs[0] <= 1e-10 * abs(vals[0])
+        assert abs(vals[0] + 0.25) <= 1e-10 * 0.25
+        assert vals[1] == 0.0 and errs[1] == 0.0
 
 
 class TestConfig:
@@ -421,35 +477,14 @@ class TestNested:
     def test_rule_per_level(self, monkeypatch):
         # G3/K7 rows on x1 and y1, G7/K15 rows on x2 and y2; the frame's
         # two engine levels keep the default G7/K15
-        widths = {}
-        depth = 0
-
-        def recording(engine):
-            def run(f, lo, hi, **kw):
-                nonlocal depth
-                level = depth
-
-                def rows(ids, x):
-                    widths.setdefault(level, set()).add(x.shape[1])
-                    return f(ids, x)
-
-                depth += 1
-                try:
-                    return engine(rows, lo, hi, **kw)
-                finally:
-                    depth -= 1
-
-            return run
-
-        monkeypatch.setattr(quadrature, "adaptive_quad_batch",
-                            recording(quadrature.adaptive_quad_batch))
-        monkeypatch.setattr(frame, "adaptive_quad_batch",
-                            recording(frame.adaptive_quad_batch))
+        widths = record_rows(monkeypatch, quadrature)
         nested_quadrature(region_catalog(1.3, 0.8)["I1"], QuadConfig(rel_tol=1e-6))
-        assert widths == {0: {7}, 1: {7}, 2: {15}, 3: {15}}
-        widths.clear()
+        assert {level: set(w) for level, w in widths.items()} == {
+            0: {7}, 1: {7}, 2: {15}, 3: {15}
+        }
+        widths = record_rows(monkeypatch, frame)
         frame.expected_area_frame(QuadConfig(rel_tol=1e-6))
-        assert widths == {0: {15}, 1: {15}}
+        assert {level: set(w) for level, w in widths.items()} == {0: {15}, 1: {15}}
 
 
 # (value.hex(), est_error.hex(), evaluations, converged) at rel_tol 1e-4,
@@ -459,7 +494,7 @@ class TestNested:
 # cells, so the 7-node rule resolves them on one panel, and the cells that
 # need no refinement anywhere (J4, J5, I4, I5 here) take the minimum
 # 7 * 7 * 15 * 15 = 11,025 evaluations.  Every step of the kernel level is
-# elementwise, so blocking it or sharing its bound coefficients must not
+# elementwise, so sharing its bound coefficients across a panel must not
 # move these by a bit; a change to either map or to any level's rule must
 # re-capture them.  The square's cells 8..10 run the descending chord
 # bounds.
@@ -501,9 +536,9 @@ def test_catalog_results_are_frozen_to_the_bit(tag, cell):
 
 
 # The same at rel_tol 1e-6 on 1.3 x 0.8, where refinement runs more rounds
-# than at 1e-4: retiring converged integrals and broadcasting each panel's
-# outer variables across its nodes must not move these by a bit.  Captured
-# with the same rule per level and the same maps as FROZEN.
+# than at 1e-4: evaluating only the halves of split panels and broadcasting
+# each panel's outer variables across its nodes must not move these by a
+# bit.  Captured with the same rule per level and the same maps as FROZEN.
 FROZEN_DEEP = {
     "I1": ("0x1.1bf47b05d3b6ap-15", "0x1.82944efecd6c3p-42", 37815, True),
     "J1": ("0x1.554ac5183b0b1p-9", "0x1.c203de166097cp-37", 49575, True),
@@ -538,43 +573,8 @@ def test_side_case_values_are_frozen_to_the_bit(case):
     assert value.hex() == SIDE_FROZEN[case]
 
 
-class TestBlockedKernel:
-    def _record_blocks(self, monkeypatch) -> list[int]:
-        sizes = []
-        kernel = quadrature._analytic_kernel
-
-        def recording(region, env):
-            sizes.append(env["y2"].size)
-            return kernel(region, env)
-
-        monkeypatch.setattr(quadrature, "_analytic_kernel", recording)
-        return sizes
-
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        cell = normalizer_regions(1.3, 0.8)[3]  # J4: one batch of 7*7*15*15 points
-        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 4096)
-        sizes = self._record_blocks(monkeypatch)
-        base = nested_quadrature(cell)
-        assert base.evaluations > 2 * quadrature._KERNEL_BLOCK
-        assert len(sizes) > 2  # the batch spans several blocks
-        for block in (1, 7, 10**9):
-            monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", block)
-            sizes.clear()
-            assert nested_quadrature(cell) == base
-            # blocks hold whole panels of 15 nodes, at least one panel each
-            assert all(size % 15 == 0 for size in sizes)
-            assert max(sizes) == min(max(block // 15, 1) * 15, base.evaluations)
-
-    def test_block_size_does_not_change_log_scaled_results(self, monkeypatch):
-        # J1's y2 integrals run on the log scale, whose map is gathered and
-        # applied per block
-        cell = normalizer_regions(1.3, 0.8)[0]
-        base = nested_quadrature(cell)
-        for block in (1, 7, 10**9):
-            monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", block)
-            assert nested_quadrature(cell) == base
-
-    def test_y3_coefficients_run_once_per_block(self, monkeypatch):
+class TestKernel:
+    def test_y3_coefficients_run_once_per_y2_callback(self, monkeypatch):
         calls = Counter()
 
         def counted(tag, value):
@@ -586,8 +586,11 @@ class TestBlockedKernel:
 
         y3_lo = AffineBound(counted("lo.const", 0.0), counted("lo.slope", 0.0))
         y3_hi = AffineBound(counted("hi.const", 0.0), counted("hi.slope", 1.0))
-        rows = tuple((var, const(0.0), const(1.0)) for var in VAR_ORDER[:5])
-        region = RegionSpec(name="count", vars=rows + (("y3", y3_lo, y3_hi),),
+        # a kink in the y2 bound makes the x2 level split, so the y2 level
+        # runs more than one round
+        rows = [(var, const(0.0), const(1.0)) for var in VAR_ORDER[:5]]
+        rows[3] = ("y2", const(0.0), lambda env: np.abs(env["x2"] - 0.4) + 0.1)
+        region = RegionSpec(name="count", vars=(*rows, ("y3", y3_lo, y3_hi)),
                             sign=1, integrand=Integrand.SIGNED_AREA)
         tags = ("lo.const", "lo.slope", "hi.const", "hi.slope")
 
@@ -595,9 +598,20 @@ class TestBlockedKernel:
         quadrature._analytic_kernel(region, env)
         assert calls == Counter({tag: 1 for tag in tags})
 
+        # the engine runs the kernel once per y2 callback, on the whole batch
         calls.clear()
-        monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 150)
-        sizes = self._record_blocks(monkeypatch)
+        kernel_calls = 0
+        kernel = quadrature._analytic_kernel
+
+        def counted_kernel(region, env):
+            nonlocal kernel_calls
+            kernel_calls += 1
+            return kernel(region, env)
+
+        monkeypatch.setattr(quadrature, "_analytic_kernel", counted_kernel)
+        widths = record_rows(monkeypatch, quadrature)
         nested_quadrature(region, QuadConfig(rel_tol=1e-3, max_depth=1))
-        assert len(sizes) > 50
-        assert calls == Counter({tag: len(sizes) for tag in tags})
+        y2_rounds = len(widths[3])
+        assert y2_rounds > 1
+        assert kernel_calls == y2_rounds
+        assert calls == Counter({tag: y2_rounds for tag in tags})
