@@ -15,14 +15,27 @@ partials merge in chunk-index order with the standard pairwise moment
 combination.  Threads only decide which worker executes a chunk, never
 how its numbers are produced or combined, so results are bit-identical
 for any thread count.  The generator (Philox), the key mixing, the block
-size, and the per-problem draw layouts are frozen by golden-value tests:
-changing any of them changes published results.
+size (_BLOCK), and the per-problem draw layouts are frozen by golden-value
+tests: changing any of them changes published results.
+
+Memory: each worker thread allocates one draw buffer of _DRAW samples and
+one values buffer of _BLOCK samples, and reuses them for every block of
+every chunk it runs.  A frozen block is drawn in parts of _DRAW samples
+(the last one shorter), each scaled in place and sent through the
+kernels, whose |result| is written straight into the values buffer; the
+block's mean and M2 are then taken over the whole block.
+Philox is counter-based, so a block drawn in parts holds exactly the
+doubles of a block drawn at once: the part size changes no bit of any
+result, and only _BLOCK is frozen.  A part of a tetra draw is 768 KiB, so
+a part and its temporaries fit a 2 MiB L2 cache, and a worker's peak is
+about 2 MiB whatever n is.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
@@ -44,6 +57,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 16
+_DRAW = 1 << 13  # samples per part of a block: fits a 2 MiB L2, changes no bit
 _Z95 = 1.959964  # two-sided 95% normal quantile
 
 # mean tetrahedron volume in the unit cube: Zinani 2003; MathWorld
@@ -71,6 +85,9 @@ class CubeTetrahedron:
 
 
 Problem = Union[InteriorTriangle, FrameTriangle, CubeTetrahedron]
+
+# uniforms per sample in the frozen draw layout
+_COLUMNS = {InteriorTriangle: 6, FrameTriangle: 3, CubeTetrahedron: 12}
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,25 +120,33 @@ def _substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(chunk_index << 64) | seed))
 
 
-def _draw_values(problem: Problem, rng: np.random.Generator, count: int) -> np.ndarray:
-    """One block of i.i.d. |area| or |volume| samples; layout is frozen."""
-    if isinstance(problem, InteriorTriangle):
-        q = rng.random((count, 6))
-        a, b = problem.domain.a, problem.domain.b
-        return np.abs(
-            signed_area_xy(
-                a * q[:, 0], b * q[:, 1], a * q[:, 2], b * q[:, 3], a * q[:, 4], b * q[:, 5]
-            )
-        )
-    if isinstance(problem, FrameTriangle):
-        t = rng.random((count, 3)) * 4.0
-        x1, y1 = frame_xy(t[:, 0])
-        x2, y2 = frame_xy(t[:, 1])
-        x3, y3 = frame_xy(t[:, 2])
-        return np.abs(signed_area_xy(x1, y1, x2, y2, x3, y3))
-    # CubeTetrahedron: estimate admits no other kind
-    q = rng.random((count, 12)) * problem.domain.side
-    return np.abs(signed_volume_xyz(*q.T))
+def _fill_block(problem: Problem, rng: np.random.Generator, draws: np.ndarray,
+                block: np.ndarray) -> None:
+    """Fill ``block`` with i.i.d. |area| or |volume| samples; layout is frozen.
+
+    Draws ``len(draws)`` samples at a time into ``draws``; the part size
+    changes no bit of the block (see the module docstring).
+    """
+    count = len(block)
+    for s in range(0, count, len(draws)):
+        m = min(len(draws), count - s)
+        q = rng.random(out=draws[:m])
+        if isinstance(problem, InteriorTriangle):
+            a, b = problem.domain.a, problem.domain.b
+            q *= (a, b, a, b, a, b)
+            area = signed_area_xy(*q.T)
+        elif isinstance(problem, FrameTriangle):
+            q *= 4.0
+            # one call per vertex: frame_xy on all of q would make temporaries
+            # of 3 * _DRAW doubles, large enough for glibc to trim and re-fault
+            x1, y1 = frame_xy(q[:, 0])
+            x2, y2 = frame_xy(q[:, 1])
+            x3, y3 = frame_xy(q[:, 2])
+            area = signed_area_xy(x1, y1, x2, y2, x3, y3)
+        else:  # CubeTetrahedron: estimate admits no other kind
+            q *= problem.domain.side
+            area = signed_volume_xyz(*q.T)
+        np.abs(area, out=block[s : s + m])
 
 
 def _merge(n_a: int, mean_a: float, m2_a: float, n_b: int, mean_b: float, m2_b: float):
@@ -133,14 +158,20 @@ def _merge(n_a: int, mean_a: float, m2_a: float, n_b: int, mean_b: float, m2_b: 
     return n, mean, m2
 
 
-def _chunk_moments(problem: Problem, count: int, seed: int, index: int):
+def _chunk_moments(problem: Problem, count: int, seed: int, index: int,
+                   draws: np.ndarray, values: np.ndarray):
+    """(count, mean, M2) of one chunk, drawn through the worker's buffers."""
     rng = _substream(seed, index)
     done, mean, m2 = 0, 0.0, 0.0
     while done < count:
         take = min(_BLOCK, count - done)
-        values = _draw_values(problem, rng, take)
-        block_mean = float(values.mean())
-        block_m2 = float(((values - block_mean) ** 2).sum())
+        block = values[:take]
+        _fill_block(problem, rng, draws, block)
+        block_mean = float(block.mean())
+        # in place, the same operations as (block - block_mean) ** 2
+        block -= block_mean
+        block *= block
+        block_m2 = float(block.sum())
         done, mean, m2 = _merge(done, mean, m2, take, block_mean, block_m2)
     return count, mean, m2
 
@@ -183,10 +214,19 @@ def estimate(
 
     base, extra = divmod(n, chunks)
     sizes = [base + (1 if i < extra else 0) for i in range(chunks)]
+    # each worker thread allocates its two buffers on its first chunk and
+    # reuses them for the rest: buffers freed after every chunk made glibc
+    # return their pages and fault them in again for the next chunk
+    held = threading.local()
+
+    def run(i: int):
+        if not hasattr(held, "buffers"):  # sizes[0] is the largest chunk
+            held.buffers = (np.empty((min(_DRAW, sizes[0]), _COLUMNS[type(problem)])),
+                            np.empty(min(_BLOCK, sizes[0])))
+        return _chunk_moments(problem, sizes[i], seed, i, *held.buffers)
+
     with ThreadPoolExecutor(max_workers=pool_size(threads, chunks)) as pool:
-        parts = list(
-            pool.map(lambda i: _chunk_moments(problem, sizes[i], seed, i), range(chunks))
-        )
+        parts = list(pool.map(run, range(chunks)))
 
     total, mean, m2 = 0, 0.0, 0.0
     for part in parts:  # chunk-index order, fixed regardless of scheduling

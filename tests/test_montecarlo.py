@@ -1,7 +1,11 @@
 """Seeded sampling estimates: reproducibility, statistics, and validation."""
 
+import functools
+import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +34,50 @@ PROBLEMS = {
     "tetra": CubeTetrahedron(),
 }
 
+# estimate(problem, PINNED_N, seed=2024, chunks) as float.hex (mean,
+# variance), captured before blocks were drawn in parts: PINNED_N spans
+# three full blocks and a partial one, so these cross every block and part
+# boundary that the 1,250 samples per chunk of GOLDEN never reach
+PINNED_N = 3 * 2**16 + 12_345
+PINNED_PROBLEMS = {
+    "interior-1x1": InteriorTriangle(),
+    "interior-1.3x0.8": InteriorTriangle(RectDomain(1.3, 0.8)),
+    "frame": FrameTriangle(),
+    "tetra-1": CubeTetrahedron(),
+    "tetra-0.7": CubeTetrahedron(CubeDomain(0.7)),
+}
+PINS = {
+    ("interior-1x1", 1): ("0x1.3862999fa639ep-4", "0x1.2c7faffadbdb0p-8"),
+    ("interior-1x1", 3): ("0x1.389c1c5f7db7fp-4", "0x1.2cb7888cf3e2ep-8"),
+    ("interior-1.3x0.8", 1): ("0x1.44e16c918e27bp-4", "0x1.4504fc995d350p-8"),
+    ("interior-1.3x0.8", 3): ("0x1.451d3c3a59c9ap-4", "0x1.454163c519cf5p-8"),
+    ("frame", 1): ("0x1.3fff510ec3f2bp-3", "0x1.192c3aec0ee78p-6"),
+    ("frame", 3): ("0x1.40a41aee20c47p-3", "0x1.1b0a7f8b158cbp-6"),
+    ("tetra-1", 1): ("0x1.c924d7f78008ep-7", "0x1.9ee82c81df87dp-13"),
+    ("tetra-1", 3): ("0x1.c648e0aaeb39ep-7", "0x1.9688c591ab782p-13"),
+    ("tetra-0.7", 1): ("0x1.3999c966b68d3p-8", "0x1.8681d0279e880p-16"),
+    ("tetra-0.7", 3): ("0x1.37a3a8754015dp-8", "0x1.7ea075cf3017ap-16"),
+}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes ``estimate`` asks for, with four CPUs reported.
+
+    The pools run the requested number of workers, so a check of thread
+    invariance really runs several threads even on a host with fewer CPUs.
+    """
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    return sizes
+
 
 class TestGolden:
     @pytest.mark.parametrize("label", sorted(GOLDEN))
@@ -39,6 +87,11 @@ class TestGolden:
         assert res.mean == mean
         assert res.variance == variance
         assert res.n == 10_000 and res.seed == 12345 and res.chunks == 8
+
+    @pytest.mark.parametrize("label, chunks", sorted(PINS))
+    def test_pins_across_block_and_part_boundaries(self, label, chunks):
+        res = estimate(PINNED_PROBLEMS[label], PINNED_N, seed=2024, chunks=chunks)
+        assert (res.mean.hex(), res.variance.hex()) == PINS[label, chunks]
 
     def test_result_fields_are_consistent(self):
         res = estimate(PROBLEMS["interior"], 10_000, seed=12345, chunks=8)
@@ -54,23 +107,21 @@ class TestDeterminism:
         assert a == b
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_thread_count_is_invisible(self, threads, monkeypatch):
-        # with four CPUs reported, the pool really runs the requested number
-        # of workers, even on a host with fewer CPUs
-        sizes = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    def test_thread_count_is_invisible(self, threads, pool_sizes):
         base = estimate(PROBLEMS["interior"], 100_000, seed=7, chunks=32, threads=1)
         other = estimate(
             PROBLEMS["interior"], 100_000, seed=7, chunks=32, threads=threads
         )
-        assert sizes == [1, threads]
+        assert pool_sizes == [1, threads]
+        assert base == other
+
+    def test_thread_count_is_invisible_across_blocks(self, pool_sizes):
+        # each chunk spans two full blocks and a partial third, and so many
+        # parts, while the other worker draws its own substream
+        n = 4 * 2**16 + 999
+        base = estimate(PROBLEMS["tetra"], n, seed=11, chunks=2, threads=1)
+        other = estimate(PROBLEMS["tetra"], n, seed=11, chunks=2, threads=2)
+        assert pool_sizes == [1, 2]
         assert base == other
 
     def test_pool_never_exceeds_cpus_or_chunks(self, monkeypatch):
@@ -137,6 +188,87 @@ class TestStatistics:
     def test_variance_positive_and_bounded(self):
         res = estimate(PROBLEMS["frame"], 10_000, seed=2, chunks=4)
         assert 0.0 < res.variance < 0.25  # |area| <= 1/2 caps the variance
+
+
+def _uniform_mean(expr, symbols) -> Fraction:
+    """Exact mean of a polynomial in independent U(0, 1) variables.
+
+    E[prod u_i^k_i] = prod 1/(k_i + 1), term by term.
+    """
+    poly = expr.expand().as_poly(*symbols)
+    return sum(
+        (Fraction(int(c.p), int(c.q)) * math.prod(Fraction(1, k + 1) for k in ks)
+         for ks, c in poly.terms()),
+        Fraction(0),
+    )
+
+
+@functools.cache
+def _interior_area_moments() -> tuple[Fraction, Fraction]:
+    """(E[A^2], E[A^4]) for a triangle uniform in the unit square."""
+    sympy = pytest.importorskip("sympy")
+    x1, y1, x2, y2, x3, y3 = us = sympy.symbols("x1 y1 x2 y2 x3 y3")
+    twice = x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2)
+    return (_uniform_mean(twice**2, us) / 4, _uniform_mean(twice**4, us) / 16)
+
+
+@functools.cache
+def _frame_area_moments() -> tuple[Fraction, Fraction]:
+    """(E[A^2], E[A^4]) for a triangle uniform on the unit square's boundary.
+
+    Each vertex picks one of the four sides with probability 1/4 and a
+    uniform position along it; the moments average the 64 side triples.
+    """
+    sympy = pytest.importorskip("sympy")
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]  # counter-clockwise
+    us = sympy.symbols("u1 u2 u3")
+
+    def point(side, u):
+        (x0, y0), (x1, y1) = corners[side], corners[(side + 1) % 4]
+        return x0 + (x1 - x0) * u, y0 + (y1 - y0) * u
+
+    second = fourth = Fraction(0)
+    for sides in itertools.product(range(4), repeat=3):
+        (x1, y1), (x2, y2), (x3, y3) = (point(k, u) for k, u in zip(sides, us))
+        twice = x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2)
+        second += _uniform_mean(twice**2, us) / 4
+        fourth += _uniform_mean(twice**4, us) / 16
+    return second / 64, fourth / 64
+
+
+class TestSecondMoment:
+    """The raw second moment of |area| against its exact value.
+
+    The exact E[A^2] and E[A^4] are derived here with sympy (1/96 and
+    1/2400 inside the unit square; 1/24 and 179/38400 on its boundary),
+    so the check shares no number with the estimator.
+    """
+
+    MOMENTS = {"interior": _interior_area_moments, "frame": _frame_area_moments}
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    @pytest.mark.parametrize("label", sorted(MOMENTS))
+    def test_raw_second_moment_within_five_sigma(self, label, seed):
+        second, fourth = self.MOMENTS[label]()
+        n = 1_000_000
+        res = estimate(PROBLEMS[label], n, seed=seed)
+        raw = res.variance * (n - 1) / n + res.mean**2
+        sigma = math.sqrt(float(fourth - second**2) / n)
+        assert abs(raw - float(second)) <= 5.0 * sigma, (raw - float(second)) / sigma
+
+
+class TestMemory:
+    @pytest.mark.parametrize("label", sorted(PROBLEMS))
+    def test_traced_peak_of_one_worker(self, label):
+        # one chunk of 300,000 samples: the draw and values buffers are
+        # reused across the five blocks, so the peak does not grow with n
+        tracemalloc.start()
+        try:
+            estimate(PROBLEMS[label], 300_000, seed=1, chunks=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
 
 
 class TestValidation:
