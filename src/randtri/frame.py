@@ -102,21 +102,21 @@ def _abs_affine_integral(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
 
 def _corner_areas(
     case: int, x1: np.ndarray, u: np.ndarray, quarter_turns: int = 0
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Signed areas with the third vertex at each of the four corners.
 
     First vertex (x1, 0), second on side ``case`` at coordinate u.  The
     area is affine along a side, so side k's path integral of |area| is
     fixed by the areas at corners k and k + 1.  ``quarter_turns`` rotates
-    the whole configuration, which must not change any area.
+    the whole configuration, which must not change any area.  Returns one
+    array, the corner as its leading axis.
     """
     (ax, ay), (dx, dy) = _CORNERS[case - 1].tolist(), _STEPS[case - 1].tolist()
     p1x, p1y = _rotate(x1, 0.0, quarter_turns)
     p2x, p2y = _rotate(ax + dx * u, ay + dy * u, quarter_turns)
-    return [
-        signed_area_xy(p1x, p1y, p2x, p2y, *_rotate(cx, cy, quarter_turns))
-        for cx, cy in _CORNERS.tolist()
-    ]
+    lead = (4,) + (1,) * np.broadcast(p1x, p2x).ndim
+    cx, cy = _rotate(_ANCHOR_X.reshape(lead), _ANCHOR_Y.reshape(lead), quarter_turns)
+    return signed_area_xy(p1x, p1y, p2x, p2y, cx, cy)
 
 
 def _check_case(case: int) -> int:
@@ -146,18 +146,16 @@ def _kinks(
     strictly inside (0, 1) are kept.  Returns an (x1.size, 4 * len(cases))
     array, one column per (case, corner).
     """
-    zeros, ones = np.zeros_like(x1), np.ones_like(x1)
+    ends = np.array([[0.0], [1.0]])  # u = 0 and u = 1 in one call
     roots = []
     for case in cases:
-        for a0, a1 in zip(
-            _corner_areas(case, x1, zeros, quarter_turns),
-            _corner_areas(case, x1, ones, quarter_turns),
-        ):
-            # an area that is constant in u has no root: 0/0 or c/0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = -a0 / (a1 - a0)
-            roots.append(np.where((root > 0.0) & (root < 1.0), root, np.nan))
-    return np.stack(roots, axis=1)
+        # (corner, end, x1) -> two (corner, x1) arrays
+        a0, a1 = _corner_areas(case, x1, ends, quarter_turns).swapaxes(0, 1)
+        # an area that is constant in u has no root: 0/0 or c/0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = -a0 / (a1 - a0)
+        roots.append(np.where((root > 0.0) & (root < 1.0), root, np.nan))
+    return np.concatenate(roots).T
 
 
 def _side_sweep(
@@ -171,7 +169,9 @@ def _side_sweep(
 
     The integrand sums, over the second vertex's sides ``cases`` and the
     third vertex's four sides, the closed-form path integral of |area|,
-    each from the signed areas at the side's two corners.  It has a kink
+    each from the signed areas at the side's two corners: per case one
+    ``_abs_affine_integral`` call on all four sides (tail: the corner
+    areas rolled by one), added side by side in order.  It has a kink
     wherever a corner area changes sign, so each u-interval is split at
     every root of ``_kinks`` (QUADPACK QAGP's breakpoints): the pieces
     are smooth, and all pieces of all x1 go to the engine in one batch.
@@ -180,7 +180,7 @@ def _side_sweep(
     order of u.
     """
     m = x1.size
-    cuts = np.nan_to_num(_kinks(cases, x1, quarter_turns), nan=1.0)
+    cuts = np.fmin(_kinks(cases, x1, quarter_turns), 1.0)  # NaN -> 1
     edges = np.sort(np.column_stack([np.zeros(m), cuts, np.ones(m)]), axis=1)
     pieces = edges.shape[1] - 1
     owner = np.repeat(np.arange(m), pieces)
@@ -191,10 +191,10 @@ def _side_sweep(
         x = x1[owner[ids], None]
         vals = np.zeros_like(u)
         for case in cases:
-            areas = _corner_areas(case, x, u, quarter_turns)
-            for k in range(4):
-                head, tail = areas[k], areas[(k + 1) % 4]
-                vals += _abs_affine_integral(head, tail - head)
+            head = _corner_areas(case, x, u, quarter_turns)
+            tail = head[[1, 2, 3, 0]]
+            for side in _abs_affine_integral(head, tail - head):
+                vals += side
         return vals, None
 
     value, err = adaptive_quad_batch(

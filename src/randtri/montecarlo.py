@@ -132,8 +132,9 @@ def _fill_block(problem: Problem, rng: np.random.Generator, draws: np.ndarray,
         m = min(len(draws), count - s)
         q = rng.random(out=draws[:m])
         if isinstance(problem, InteriorTriangle):
-            a, b = problem.domain.a, problem.domain.b
-            q *= (a, b, a, b, a, b)
+            # strided: a 6-tuple broadcast runs six elements per inner loop
+            q[:, 0::2] *= problem.domain.a
+            q[:, 1::2] *= problem.domain.b
             area = signed_area_xy(*q.T)
         elif isinstance(problem, FrameTriangle):
             q *= 4.0

@@ -16,15 +16,23 @@ from randtri.lattice import (
 )
 
 
-def _cubic_mean_area(n):
-    """The mean by brute force over all (4n)**3 ordered triples: the oracle."""
+def _cubic_totals(n):
+    """Brute-force sum of |cross product| over all (4n)**2 second and third
+    vertices, one total per first vertex i = 0..n-1 on the bottom side."""
     xs, ys = midpoint_lattice(n)
-    total = 0
-    for i in range(n):  # the bottom side, weighted by 4 for the quarter turns
+    totals = []
+    for i in range(n):
         u = xs - xs[i]
         v = ys - ys[i]
         cross = u[:, None] * v[None, :] - u[None, :] * v[:, None]
-        total += int(np.abs(cross).sum())
+        totals.append(int(np.abs(cross).sum()))
+    return totals
+
+
+def _cubic_mean_area(n):
+    """The mean by brute force over all (4n)**3 ordered triples: the oracle."""
+    # the bottom side, weighted by 4 for the quarter turns
+    total = sum(_cubic_totals(n))
     return Fraction(4 * total, (4 * n) ** 3 * 2 * (2 * n) ** 2)
 
 
@@ -109,6 +117,14 @@ class TestEnumeration:
     def test_matches_cubic_enumeration(self):
         for n in range(1, 41):
             assert enumerate_mean_area(n) == _cubic_mean_area(n), n
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mirror_keeps_each_first_vertex_total(self, n):
+        # x -> 2n - x maps the lattice onto itself and bottom vertex i to
+        # n - 1 - i, so the sweep doubles the first half (and adds the
+        # middle vertex once when n is odd)
+        totals = _cubic_totals(n)
+        assert totals == totals[::-1]
 
     def test_refinement_approaches_continuum_mean(self):
         target = Fraction(5, 32)

@@ -573,6 +573,24 @@ def test_side_case_values_are_frozen_to_the_bit(case):
     assert value.hex() == SIDE_FROZEN[case]
 
 
+# frame.expected_area_frame(QuadConfig(rel_tol), p1_side=side): every
+# first-vertex side at 1e-8 and the first side at 1e-9, each 5/32 to the
+# last bit; a rotation or a reordered sum that moves the mean shows here
+FRAME_FROZEN = {
+    (1e-8, 1): "0x1.4000000000000p-3",
+    (1e-8, 2): "0x1.4000000000000p-3",
+    (1e-8, 3): "0x1.4000000000000p-3",
+    (1e-8, 4): "0x1.4000000000000p-3",
+    (1e-9, 1): "0x1.4000000000000p-3",
+}
+
+
+@pytest.mark.parametrize("rel_tol,side", sorted(FRAME_FROZEN))
+def test_frame_means_are_frozen_to_the_bit(rel_tol, side):
+    value = frame.expected_area_frame(QuadConfig(rel_tol=rel_tol), p1_side=side)
+    assert value.hex() == FRAME_FROZEN[rel_tol, side]
+
+
 class TestKernel:
     def test_y3_coefficients_run_once_per_y2_callback(self, monkeypatch):
         calls = Counter()
