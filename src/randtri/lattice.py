@@ -28,8 +28,9 @@ the first vertex sweeps half the bottom side: 16n * ceil(n/2), about
 sides), computed in int64 blocks and added up as Python ints, then one
 exact division.
 
-The result equals 5/32 - 1/(16 n**2).  That law is verified exactly for
-every n <= 200 and at n = 1000 and 2500; it is not proven here.  (A
+The result equals 5/32 - 1/(16 n**2).  That law is verified exactly, by
+the Tier-1 tests for every n <= 200 and at n = 2500 and by the report's
+lattice-exactness criterion at n = 1000; it is not proven here.  (A
 candidate argument is the midpoint rule applied to the piecewise-quadratic
 per-side means, whose only error term is h**2 times a difference of
 derivatives; it needs every kink of |area| to fall where the rule stays
@@ -91,8 +92,8 @@ def enumerate_mean_area(n: int) -> Fraction:
     total, with every vertex weighted by at most 2, stays below
     2 * max(2**14, 16n) * 4n**3: 5.0e15 at n = 2500, against the int64
     limit of 9.2e18.  The blocks are added as Python ints.  The result is
-    5/32 - 1/(16 n**2), verified for n <= 200 and at 1000 and 2500 but not
-    proven.
+    5/32 - 1/(16 n**2), not proven: the Tier-1 tests verify it for n <= 200
+    and at 2500, the report's lattice-exactness criterion at 1000.
 
     Raises WorkLimitExceededError, before building anything, when the
     16n**2 closed-form sums of the full sweep, the one the mirror halves,

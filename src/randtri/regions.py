@@ -44,6 +44,7 @@ __all__ = [
     "AffineBound",
     "BoundFn",
     "Integrand",
+    "MIRROR",
     "RegionSpec",
     "UnknownNameError",
     "VAR_ORDER",
@@ -59,6 +60,9 @@ Env = dict[str, np.ndarray]
 BoundFn = Callable[[Env], Union[np.ndarray, float]]
 
 VAR_ORDER = ("x1", "y1", "x2", "y2", "x3", "y3")
+
+# the top-to-bottom mirror carries descending cell k onto ascending MIRROR[k]
+MIRROR = {6: 4, 7: 5, 8: 1, 9: 2, 10: 3}
 
 
 class Integrand(Enum):
@@ -193,8 +197,8 @@ def _descending_cells(
     """The five cells with y2 < y1, numbered 6..10.
 
     Mirroring the rectangle top to bottom carries these onto the ascending
-    cells: 6<->4, 7<->5, 8<->1, 9<->2, 10<->3 (the mirror flips the sign
-    of the area, so above/below roles swap).
+    cells as ``MIRROR`` lists (the mirror flips the sign of the area, so
+    above/below roles swap).
     """
     a, b = domain.a, domain.b
 
@@ -274,7 +278,7 @@ def region_catalog(a: float, b: float) -> dict[str, RegionSpec]:
 
     The descending five of each kind are built from their own bounds
     rather than by aliasing the ascending five, so the mirror identities
-    (cell 6 = 4, 7 = 5, 8 = 1, 9 = 2, 10 = 3) are genuine cross-checks.
+    of ``MIRROR`` are genuine cross-checks.
     The I cells sum to 11*(a*b)**4/864 and the J cells to (a*b)**3/6.
     """
     domain = RectDomain(float(a), float(b))
@@ -298,11 +302,6 @@ _AREA_CELLS = {
     "I3": Fraction(140, 34560),
     "I4": Fraction(19, 34560),
     "I5": Fraction(37, 34560),
-    "I6": Fraction(19, 34560),
-    "I7": Fraction(37, 34560),
-    "I8": Fraction(1, 34560),
-    "I9": Fraction(23, 34560),
-    "I10": Fraction(140, 34560),
     "I15": Fraction(11, 1728),
     "II": Fraction(11, 864),
 }
@@ -312,14 +311,12 @@ _MEASURE_CELLS = {
     "J3": Fraction(18, 432),
     "J4": Fraction(5, 432),
     "J5": Fraction(7, 432),
-    "J6": Fraction(5, 432),
-    "J7": Fraction(7, 432),
-    "J8": Fraction(1, 432),
-    "J9": Fraction(5, 432),
-    "J10": Fraction(18, 432),
     "J15": Fraction(1, 12),
     "JJ": Fraction(1, 6),
 }
+# each descending cell takes its mirror partner's value
+_AREA_CELLS |= {f"I{k}": _AREA_CELLS[f"I{m}"] for k, m in MIRROR.items()}
+_MEASURE_CELLS |= {f"J{k}": _MEASURE_CELLS[f"J{m}"] for k, m in MIRROR.items()}
 
 
 def exact_reference(name: str, a=1, b=1) -> Fraction:

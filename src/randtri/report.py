@@ -30,7 +30,7 @@ from .montecarlo import (
     pool_size,
 )
 from .quadrature import QuadConfig, interior_catalog, nested_quadrature
-from .regions import Integrand, exact_reference, region_catalog, sample_in_region
+from .regions import MIRROR, Integrand, exact_reference, region_catalog, sample_in_region
 
 __all__ = ["CRITERIA", "run_criterion", "run_report"]
 
@@ -99,13 +99,11 @@ def _square_decomposition() -> Verdict:
         _rel(big_j, exact_reference("JJ")),
         _rel(big_i / big_j, exact_reference("RESULT")),
     )
-    # mirroring the square top to bottom carries cell k onto cell mirror[k]
-    mirror = {6: 4, 7: 5, 8: 1, 9: 2, 10: 3}
     pairs_ok = all(
         abs(cells[f"{p}{k}"].value - cells[f"{p}{m}"].value)
         <= 2.0 * (cells[f"{p}{k}"].est_error + cells[f"{p}{m}"].est_error)
         for p in "IJ"
-        for k, m in mirror.items()
+        for k, m in MIRROR.items()
     )
     return Verdict(
         f"II={exact_reference('II')}, JJ={exact_reference('JJ')}, "

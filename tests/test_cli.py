@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,26 @@ class TestQuad:
         code, _, _ = run_cli(["quad", "--rel-tol", "2"])
         assert code == 2
 
+    # the catalog end to end through the CLI: a non-square rectangle at
+    # 1e-6 and at 1e-9, where the smallest cells' tolerance nears the
+    # absolute floor, and each ascending cell of a thin one, 0.001 x 1,
+    # whose cells sit near the absolute floor 1e-13.  The thin cells run
+    # one by one: on that domain the RESULT row of `--region all` reports
+    # converged false, because I15 stops at the floor (ROADMAP F1)
+    @pytest.mark.parametrize(
+        "argv",
+        [["--a", "1.3", "--b", "0.8", "--rel-tol", tol] for tol in ("1e-6", "1e-9")]
+        + [["--a", "0.001", "--b", "1", "--rel-tol", "1e-6", "--region", f"{p}{k}"]
+           for p in "IJ" for k in range(1, 6)],
+        ids=lambda argv: "-".join(argv[1::2]),
+    )
+    def test_every_row_converges_within_its_est_error(self, argv):
+        rows = run_json(["quad", *argv])["results"]
+        assert rows
+        for row in rows:
+            assert row["converged"] is True, row["region"]
+            assert abs(row["value"] - row["reference_value"]) <= row["est_error"], row
+
 
 class TestMc:
     def test_record_shape(self):
@@ -185,6 +206,12 @@ class TestLattice:
         assert row["mean"] == "249/1600"
         assert row["decimal"] == 249.0 / 1600.0
         assert row["points"] == 40 and row["triples"] == 64000
+
+    def test_largest_permitted_n_obeys_the_law(self):
+        # the work limit's size, which reaches the int64 block bound
+        n = 2500
+        (row,) = run_json(["lattice", "--n", str(n)])["results"]
+        assert Fraction(row["mean"]) == Fraction(5 * n * n - 2, 32 * n * n)
 
     def test_zero_subdivisions_is_usage_error(self):
         assert run_cli(["lattice", "--n", "0"])[0] == 2

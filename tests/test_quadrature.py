@@ -591,6 +591,34 @@ def test_frame_means_are_frozen_to_the_bit(rel_tol, side):
     assert value.hex() == FRAME_FROZEN[rel_tol, side]
 
 
+# frame._side_sweep((1, 2, 3, 4), [x1], 1e-8, 12, quarter_turns=q) as
+# (value, err): the whole sweep of one first vertex in each rotation, at a
+# plain x1, at x1 = 0.7 and at the benchmark x1 whose kink once went missing.
+# The frame means all round to 5/32 itself, so these pin the route tighter
+SWEEP_FROZEN = {
+    (0.37, 0): ("0x1.2efe399df814dp+1", "0x0.0p+0"),
+    (0.37, 1): ("0x1.2efe399df814dp+1", "0x0.0p+0"),
+    (0.37, 2): ("0x1.2efe399df814cp+1", "0x1.0000000000000p-52"),
+    (0.37, 3): ("0x1.2efe399df814dp+1", "0x0.0p+0"),
+    (0.7, 0): ("0x1.34e81b4e81b4fp+1", "0x1.0000000000000p-53"),
+    (0.7, 1): ("0x1.34e81b4e81b4fp+1", "0x1.0000000000000p-53"),
+    (0.7, 2): ("0x1.34e81b4e81b4ep+1", "0x1.0000000000000p-52"),
+    (0.7, 3): ("0x1.34e81b4e81b4fp+1", "0x1.0000000000000p-53"),
+    (0.0015847499555259326, 0): ("0x1.6a42f91bf4993p+1", "0x1.0000000000000p-60"),
+    (0.0015847499555259326, 1): ("0x1.6a42f91bf4993p+1", "0x1.0000000000000p-60"),
+    (0.0015847499555259326, 2): ("0x1.6a42f91bf4993p+1", "0x1.0080000000000p-51"),
+    (0.0015847499555259326, 3): ("0x1.6a42f91bf4993p+1", "0x1.0000000000000p-60"),
+}
+
+
+@pytest.mark.parametrize("x1,quarter_turns", sorted(SWEEP_FROZEN))
+def test_side_sweeps_are_frozen_to_the_bit(x1, quarter_turns):
+    value, err = frame._side_sweep(
+        (1, 2, 3, 4), np.array([x1]), 1e-8, 12, quarter_turns=quarter_turns
+    )
+    assert (value[0].hex(), err[0].hex()) == SWEEP_FROZEN[x1, quarter_turns]
+
+
 class TestKernel:
     def test_y3_coefficients_run_once_per_y2_callback(self, monkeypatch):
         calls = Counter()

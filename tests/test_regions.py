@@ -7,6 +7,7 @@ import pytest
 
 from randtri.geometry import signed_area_xy
 from randtri.regions import (
+    MIRROR,
     VAR_ORDER,
     AffineBound,
     Integrand,
@@ -152,15 +153,14 @@ class TestSampling:
     def test_mirror_cells_map_onto_partners(self):
         # reflecting y -> b - y carries each descending cell onto its
         # ascending partner, which is why their integrals pair up
-        partners = {"I6": "I4", "I7": "I5", "I8": "I1", "I9": "I2", "I10": "I3"}
         rng = np.random.default_rng(12)
         flip = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         for a, b in ((1.0, 1.0), (1.3, 0.8)):
             cells = region_catalog(a, b)
             shift = np.array([0.0, b, 0.0, b, 0.0, b])
-            for low, high in partners.items():
-                pts = sample_in_region(cells[low], 3_000, rng)
-                assert_supported(cells[high], pts * flip + shift, tol=1e-7)
+            for low, high in MIRROR.items():
+                pts = sample_in_region(cells[f"I{low}"], 3_000, rng)
+                assert_supported(cells[f"I{high}"], pts * flip + shift, tol=1e-7)
 
     def test_rejects_nonpositive_count(self):
         cell = rectangle_regions(1.0, 1.0)[0]
@@ -199,9 +199,17 @@ class TestExactReference:
         assert exact_reference("RESULT", 2, 3) == Fraction(11, 144) * 6
         # dyadic floats enter exactly
         assert exact_reference("RESULT", 0.5, 0.5) == Fraction(11, 144) / 4
+        # all 25 names: the twenty cells, the four sums and the mean
+        names = [f"{p}{k}" for p in "IJ" for k in range(1, 11)]
+        for a, b in ((1.3, 0.8), (0.001, 1)):
+            ab = Fraction(a) * Fraction(b)
+            for name in names + ["I15", "II", "J15", "JJ", "RESULT"]:
+                power = {"I": 4, "J": 3, "R": 1}[name[0]]
+                assert exact_reference(name, a, b) == exact_reference(name) * ab**power
 
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownNameError, match="Q9"):
             exact_reference("Q9")
-        with pytest.raises(ValueError):
-            exact_reference("I11")
+        for name in ("K1", "I0", "I11", "J11"):
+            with pytest.raises(UnknownNameError, match=name):
+                exact_reference(name)
