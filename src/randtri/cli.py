@@ -3,11 +3,15 @@
 Subcommands: ``quad`` (region catalog by nested quadrature, checked
 against the exact references), ``mc`` (seeded Monte Carlo), ``lattice``
 (exact midpoint-lattice enumeration), and ``report`` (the full acceptance
-suite).  Machine consumers get one newline-delimited JSON record per run
-on a pipe; humans get an aligned table on a TTY.
+suite).  Each run emits one ``RunRecord``: the subcommand, its parameters
+(every flag with its default), the result rows, ``wall_time_s`` (the
+whole command after argument parsing, validation included), the package
+version and the Monte Carlo seed (``None`` for the other commands).
+Machine consumers get it as one newline-delimited JSON record on a pipe;
+humans get an aligned table on a TTY.
 
-Exit codes: 0 success, 1 accuracy or acceptance failure, 2 usage error,
-3 resource limit.
+Exit codes: 0 success, 1 accuracy or acceptance failure, 2 usage error
+(a failed ``--out`` write included), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def _emit(record: RunRecord) -> None:
     if sys.stdout.isatty():
         rows = record.results
         if rows:
-            cols = list(rows[0].keys())
+            cols = list(dict.fromkeys(col for row in rows for col in row))
             cells = [[_fmt(row.get(col, "")) for col in cols] for row in rows]
             widths = [
                 max(len(col), max(len(row[i]) for row in cells))
@@ -109,7 +113,7 @@ def _check_references(names: list[str], a: float, b: float) -> None:
             )
 
 
-def _cmd_quad(args: argparse.Namespace) -> int:
+def _cmd_quad(args: argparse.Namespace) -> tuple[list, int]:
     cells = region_catalog(args.a, args.b)  # rejects a bad domain before any work
     cfg = QuadConfig(rel_tol=args.rel_tol, max_depth=args.max_depth)
     summed = args.region == "all"
@@ -119,31 +123,16 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     # twenty cells rejects no domain that the ten printed cells accept
     names = [*cells, "I15", "J15", "RESULT"] if summed else [args.region]
     _check_references(names, args.a, args.b)
-    t0 = time.perf_counter()
     if summed:
         results = interior_catalog(args.a, args.b, cfg).values()
     else:
         results = [nested_quadrature(cells[args.region], cfg)]
     rows = [_quad_row(res, args.a, args.b) for res in results]
-    record = RunRecord(
-        command="quad",
-        parameters={
-            "a": args.a,
-            "b": args.b,
-            "region": args.region,
-            "rel_tol": args.rel_tol,
-            "max_depth": args.max_depth,
-        },
-        results=rows,
-        wall_time_s=time.perf_counter() - t0,
-        version=__version__,
-    )
-    _emit(record)
     worst = max(row["rel_deviation"] for row in rows)
-    return EXIT_OK if worst <= 10.0 * args.rel_tol else EXIT_ACCURACY
+    return rows, EXIT_OK if worst <= 10.0 * args.rel_tol else EXIT_ACCURACY
 
 
-def _check_sample_scale(args: argparse.Namespace, sides: dict, peak: float,
+def _check_sample_scale(args: argparse.Namespace, used: tuple, peak: float,
                         mean) -> None:
     """Reject a domain on which the estimate's moments leave binary64.
 
@@ -154,109 +143,63 @@ def _check_sample_scale(args: argparse.Namespace, sides: dict, peak: float,
     and must be a normal float, which also makes the mean one.
     """
     if math.isinf(peak * peak * args.n) or mean * mean < sys.float_info.min:
-        domain = ", ".join(f"{side}={value}" for side, value in sides.items())
+        domain = ", ".join(f"{side}={getattr(args, side)}" for side in used)
         raise ValueError(
             f"--problem {args.problem} on {domain}: the mean or the variance "
             "does not fit a binary64 float"
         )
 
 
-def _cmd_mc(args: argparse.Namespace) -> int:
+def _cmd_mc(args: argparse.Namespace) -> tuple[list, int]:
+    # a used side defaults to 1; an unused one leaves the record's parameters
     used = {"interior": ("a", "b"), "frame": (), "tetra": ("a",)}[args.problem]
-    sides = {}
     for side in ("a", "b"):
         value = getattr(args, side)
         if side in used:
-            sides[side] = 1.0 if value is None else value
-        elif value is not None:
+            setattr(args, side, 1.0 if value is None else value)
+        elif value is None:
+            delattr(args, side)
+        else:
             raise ValueError(f"--{side} does not apply to --problem {args.problem}")
     if args.problem == "interior":
-        a, b = sides["a"], sides["b"]
+        a, b = args.a, args.b
         problem = InteriorTriangle(RectDomain(a, b))
-        _check_sample_scale(args, sides, 3.0 * a * b, exact_reference("RESULT", a, b))
+        _check_sample_scale(args, used, 3.0 * a * b, exact_reference("RESULT", a, b))
     elif args.problem == "frame":
         problem = FrameTriangle()
     else:
-        problem = CubeTetrahedron(CubeDomain(sides["a"]))
-        cube = sides["a"] * sides["a"] * sides["a"]
-        _check_sample_scale(args, sides, 6.0 * cube, TETRA_MEAN * cube)
-    t0 = time.perf_counter()
+        problem = CubeTetrahedron(CubeDomain(args.a))
+        cube = args.a * args.a * args.a
+        _check_sample_scale(args, used, 6.0 * cube, TETRA_MEAN * cube)
     result = estimate(
         problem, args.n, seed=args.seed, chunks=args.chunks, threads=args.threads
     )
-    record = RunRecord(
-        command="mc",
-        parameters={
-            "problem": args.problem,
-            "n": args.n,
-            "seed": args.seed,
-            "chunks": args.chunks,
-            "threads": args.threads,
-            **sides,
-        },
-        results=[dataclasses.asdict(result)],
-        wall_time_s=time.perf_counter() - t0,
-        version=__version__,
-        seed=args.seed,
-    )
-    _emit(record)
-    return EXIT_OK
+    return [dataclasses.asdict(result)], EXIT_OK
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_lattice(args: argparse.Namespace) -> tuple[list, int]:
     value = enumerate_mean_area(args.n)
-    record = RunRecord(
-        command="lattice",
-        parameters={"n": args.n},
-        results=[
-            {
-                "n": args.n,
-                "points": 4 * args.n,
-                "triples": (4 * args.n) ** 3,
-                "mean": f"{value.numerator}/{value.denominator}",
-                "decimal": float(value),
-            }
-        ],
-        wall_time_s=time.perf_counter() - t0,
-        version=__version__,
-    )
-    _emit(record)
-    return EXIT_OK
+    return [{
+        "n": args.n,
+        "points": 4 * args.n,
+        "triples": (4 * args.n) ** 3,
+        "mean": f"{value.numerator}/{value.denominator}",
+        "decimal": float(value),
+    }], EXIT_OK
 
 
-def _open_out(path: str | None):
-    """Open the report file up front, so a bad path fails before any work."""
-    if not path:
-        return contextlib.nullcontext()
+@contextlib.contextmanager
+def _out_errors(path: str):
+    """Turn an OSError from opening, writing or closing ``--out`` into a usage error."""
     try:
-        return open(path, "w", encoding="utf-8")
+        yield
     except OSError as exc:
         raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    with _open_out(args.out) as fh:
-        t0 = time.perf_counter()
-        rows, all_pass = run_report()
-        record = RunRecord(
-            command="report",
-            parameters={"out": args.out},
-            results=rows,
-            wall_time_s=time.perf_counter() - t0,
-            version=__version__,
-        )
-        _emit(record)
-        if fh is not None:
-            payload = {
-                "version": __version__,
-                "all_pass": all_pass,
-                "wall_time_s": record.wall_time_s,
-                "criteria": rows,
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    return EXIT_OK if all_pass else EXIT_ACCURACY
+def _cmd_report(args: argparse.Namespace) -> tuple[list, int]:
+    rows, all_pass = run_report()
+    return rows, EXIT_OK if all_pass else EXIT_ACCURACY
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,8 +251,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
+        # the report file opens before any work, so a bad path fails first
+        with _out_errors(out):
+            fh = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext()
+        with fh:
+            rows, code = args.func(args)
+            record = RunRecord(
+                command=args.command,
+                parameters={k: v for k, v in vars(args).items()
+                            if k not in ("command", "func")},
+                results=rows,
+                wall_time_s=time.perf_counter() - t0,
+                version=__version__,
+                seed=getattr(args, "seed", None),
+            )
+            _emit(record)
+            if out:
+                payload = {
+                    "version": __version__,
+                    "all_pass": code == EXIT_OK,
+                    "wall_time_s": record.wall_time_s,
+                    "criteria": rows,
+                }
+                with _out_errors(out):
+                    print(json.dumps(payload, indent=2), file=fh)
+                    fh.close()  # inside, so a failed flush is reported too
+        return code
     except WorkLimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

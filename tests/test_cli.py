@@ -246,6 +246,42 @@ class TestOutputModes:
         else:
             pytest.fail("no formatted float found in table output")
 
+    @pytest.mark.parametrize("argv, parameters, seed", [
+        (["quad", "--region", "I1", "--rel-tol", "1e-3"],
+         {"a": 1.0, "b": 1.0, "region": "I1", "rel_tol": 1e-3, "max_depth": 12}, None),
+        (["mc", "--problem", "interior", "--n", "2000", "--b", "2"],
+         {"problem": "interior", "n": 2000, "seed": 0, "chunks": 64, "threads": None,
+          "a": 1.0, "b": 2.0}, 0),
+        (["mc", "--problem", "frame", "--n", "2000"],
+         {"problem": "frame", "n": 2000, "seed": 0, "chunks": 64, "threads": None}, 0),
+        (["mc", "--problem", "tetra", "--n", "2000"],
+         {"problem": "tetra", "n": 2000, "seed": 0, "chunks": 64, "threads": None,
+          "a": 1.0}, 0),
+        (["lattice", "--n", "3"], {"n": 3}, None),
+    ], ids=["quad", "mc-interior", "mc-frame", "mc-tetra", "lattice"])
+    def test_every_command_emits_one_record_shape(self, argv, parameters, seed):
+        # the parameters are the flags with their defaults, in flag order;
+        # mc lists only the sides its problem uses
+        rec = run_json(argv)
+        assert list(rec) == ["command", "parameters", "results", "wall_time_s",
+                             "version", "seed"]
+        assert rec["command"] == argv[0]
+        assert list(rec["parameters"].items()) == list(parameters.items())
+        assert rec["seed"] == seed
+        assert rec["version"] == __version__
+        assert rec["results"] and rec["wall_time_s"] >= 0.0
+
+    def test_tty_table_shows_columns_of_later_rows(self, monkeypatch):
+        rows = [{"criterion": "first", "pass": True},
+                {"criterion": "second", "pass": True, "ratio_22_45": 0.5}]
+        monkeypatch.setattr("randtri.cli.run_report", lambda: (rows, True))
+        code, out, _ = run_cli(["report"], tty=True)
+        assert code == 0
+        header, first, second = out.splitlines()[:3]
+        assert header.split() == ["criterion", "pass", "ratio_22_45"]
+        assert first.split() == ["first", "yes"]
+        assert second.split() == ["second", "yes", f"{0.5:.12e}"]
+
     def test_version_flag(self):
         code, out, _ = run_cli(["--version"])
         assert code == 0
@@ -295,6 +331,17 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "missing" in err
+
+    def test_failed_out_write_is_usage_error(self, monkeypatch):
+        # /dev/full accepts the open and fails the write with ENOSPC
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        monkeypatch.setattr("randtri.cli.run_report",
+                            lambda: ([{"criterion": "stub", "pass": True}], True))
+        code, _, err = run_cli(["report", "--out", "/dev/full"])
+        assert code == 2
+        assert err.startswith("error: cannot write --out /dev/full:")
+        assert "Traceback" not in err
 
 
 class TestEntryPoints:
