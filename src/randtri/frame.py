@@ -12,12 +12,16 @@ exactly.  That leaves two numeric levels (x1 and the second vertex's side
 coordinate u).
 
 For fixed x1 each corner area is affine in u as well, so the u integrand
-is smooth except where a corner area changes sign, at a closed-form root.
+has a kink only where a corner area changes sign, at a closed-form root.
 Splitting the u-interval at those roots (at most four per side case, the
-breakpoints of QUADPACK's QAGP) leaves smooth pieces on which the engine
-converges almost at once, and the x1 integrand is then the quadratic sum
-of SIDE_CASE_FORMS, which one Kronrod panel integrates exactly: the mean
-matches 5/32 to rounding.
+breakpoints of QUADPACK's QAGP) leaves pieces on which the integrand is a
+polynomial of degree at most 2, and the x1 integrand is the quadratic sum
+of SIDE_CASE_FORMS.  So both levels use one fixed 2-node Gauss-Legendre
+rule, which is exact for degree 3, with no adaptive refinement: every
+side value matches its closed form and the mean matches 5/32 up to
+rounding, and a tolerance has nothing to control.  The degree claim is
+measured, not proved; the tests check it piece by piece against a 3-node
+rule.
 
 The perimeter is one table, the four corners in perimeter order; sides,
 ``frame_xy``, the kernel's corner areas and the midpoint lattice of
@@ -36,7 +40,9 @@ import operator
 import numpy as np
 
 from .geometry import signed_area_xy
-from .quadrature import QuadConfig, _budget_shares, adaptive_quad_batch
+from .quadrature import _GAUSS2, QuadConfig
+# unused here, but perfbench/tracer.py patches frame.adaptive_quad_batch (ROADMAP F2)
+from .quadrature import adaptive_quad_batch  # noqa: F401
 
 __all__ = [
     "SIDE_CASE_FORMS",
@@ -53,6 +59,10 @@ _STEPS = np.roll(_CORNERS, -1, axis=0) - _CORNERS
 # the same tables per coordinate, for frame_xy's gathers
 _ANCHOR_X, _ANCHOR_Y = _CORNERS.T
 _STEP_X, _STEP_Y = _STEPS.T
+
+# 2-node Gauss-Legendre rule on [0, 1] as (nodes, weights): exact for
+# polynomials of degree at most 3
+_GAUSS_LEGENDRE_2 = (0.5 + 0.5 * np.array([-_GAUSS2, _GAUSS2]), np.array([0.5, 0.5]))
 
 # closed form of side_case_value(case, x1) for each side case
 SIDE_CASE_FORMS = {
@@ -136,75 +146,60 @@ def _check_x1(x1: float) -> float:
     return x1
 
 
-def _kinks(
-    cases: tuple[int, ...], x1: np.ndarray, quarter_turns: int = 0
-) -> np.ndarray:
-    """Where the corner areas change sign in u, per x1; NaN where they do not.
+def _corner_lines(
+    case: int, x1: np.ndarray, quarter_turns: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each corner area of ``_corner_areas`` as a0 + slope * u, per x1.
 
-    For fixed x1 each corner area of ``_corner_areas`` is affine in u, so
-    it vanishes at the closed-form u = -A(0) / (A(1) - A(0)).  Only roots
-    strictly inside (0, 1) are kept.  Returns an (x1.size, 4 * len(cases))
-    array, one column per (case, corner).
+    For fixed x1 the area is affine in u, so one call at u = 0 and u = 1
+    fixes it.  Returns (a0, slope), each a (corner, x1) array.
     """
-    ends = np.array([[0.0], [1.0]])  # u = 0 and u = 1 in one call
-    roots = []
-    for case in cases:
-        # (corner, end, x1) -> two (corner, x1) arrays
-        a0, a1 = _corner_areas(case, x1, ends, quarter_turns).swapaxes(0, 1)
-        # an area that is constant in u has no root: 0/0 or c/0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = -a0 / (a1 - a0)
-        roots.append(np.where((root > 0.0) & (root < 1.0), root, np.nan))
-    return np.concatenate(roots).T
+    ends = np.array([[0.0], [1.0]])
+    # (corner, end, x1) -> two (corner, x1) arrays
+    a0, a1 = _corner_areas(case, x1, ends, quarter_turns).swapaxes(0, 1)
+    return a0, a1 - a0
+
+
+def _kinks(a0: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Where a0 + slope * u changes sign, elementwise; NaN where it does not.
+
+    The root is the closed-form u = -a0 / slope.  Only roots strictly
+    inside (0, 1) are kept.
+    """
+    # an area that is constant in u has no root
+    root = np.divide(-a0, slope, out=np.full_like(a0, np.nan), where=slope != 0.0)
+    return np.where((root > 0.0) & (root < 1.0), root, np.nan)
 
 
 def _side_sweep(
-    cases: tuple[int, ...],
-    x1: np.ndarray,
-    rel_tol: float,
-    max_depth: int,
-    quarter_turns: int = 0,
-):
-    """Integrals over the second vertex's coordinate u in [0, 1], one per x1.
+    cases: tuple[int, ...], x1: np.ndarray, quarter_turns: int = 0
+) -> np.ndarray:
+    """Integrals over the second vertex's coordinate u in [0, 1], per piece.
 
     The integrand sums, over the second vertex's sides ``cases`` and the
     third vertex's four sides, the closed-form path integral of |area|,
-    each from the signed areas at the side's two corners: per case one
-    ``_abs_affine_integral`` call on all four sides (tail: the corner
-    areas rolled by one), added side by side in order.  It has a kink
-    wherever a corner area changes sign, so each u-interval is split at
-    every root of ``_kinks`` (QUADPACK QAGP's breakpoints): the pieces
-    are smooth, and all pieces of all x1 go to the engine in one batch.
-    A missing root gives an empty piece at u = 1, which integrates to 0.
-    Returns (value, err) arrays, each the sum over one x1's pieces in
-    order of u.
+    each from the signed areas at the side's two corners: one
+    ``_abs_affine_integral`` call on every case's four sides (tail: each
+    case's corner areas rolled by one), added case by case and side by
+    side in order.  It has a kink wherever a corner area changes sign, so
+    u in [0, 1] is split at every root of ``_kinks`` (QUADPACK QAGP's
+    breakpoints).  Between kinks it is a polynomial of degree at most 2,
+    so ``_GAUSS_LEGENDRE_2`` integrates each piece exactly.  A missing
+    root gives an empty piece at u = 1, which integrates to 0.  Returns a
+    (piece, x1) array, pieces in order of u.
     """
+    nodes, weights = _GAUSS_LEGENDRE_2
     m = x1.size
-    cuts = np.fmin(_kinks(cases, x1, quarter_turns), 1.0)  # NaN -> 1
-    edges = np.sort(np.column_stack([np.zeros(m), cuts, np.ones(m)]), axis=1)
-    pieces = edges.shape[1] - 1
-    owner = np.repeat(np.arange(m), pieces)
-
-    def f(ids: np.ndarray, u: np.ndarray):
-        # one x1 per panel, broadcast across the panel's nodes; the closed
-        # form along each side is exact, so there is no inner error
-        x = x1[owner[ids], None]
-        vals = np.zeros_like(u)
-        for case in cases:
-            head = _corner_areas(case, x, u, quarter_turns)
-            tail = head[[1, 2, 3, 0]]
-            for side in _abs_affine_integral(head, tail - head):
-                vals += side
-        return vals, None
-
-    value, err = adaptive_quad_batch(
-        f,
-        edges[:, :-1].ravel(),
-        edges[:, 1:].ravel(),
-        rel_tol=rel_tol,
-        max_depth=max_depth,
-    )
-    return value.reshape(-1, pieces).sum(axis=1), err.reshape(-1, pieces).sum(axis=1)
+    lines = np.array([_corner_lines(case, x1, quarter_turns) for case in cases])
+    a0, slope = lines.swapaxes(0, 1)  # (case, corner, x1) each
+    cuts = np.fmin(_kinks(a0, slope).reshape(-1, m), 1.0)  # NaN -> 1
+    edges = np.sort(np.concatenate([np.zeros((1, m)), cuts, np.ones((1, m))]), axis=0)
+    width = edges[1:] - edges[:-1]
+    u = edges[:-1] + width * nodes[:, None, None]  # (node, piece, x1)
+    head = a0[:, :, None, None] + slope[:, :, None, None] * u
+    tail = head[:, [1, 2, 3, 0]]
+    vals = _abs_affine_integral(head, tail - head).reshape((-1,) + u.shape).sum(axis=0)
+    return width * (weights[:, None, None] * vals).sum(axis=0)
 
 
 def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> float:
@@ -212,12 +207,13 @@ def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> flo
 
     Integrates over the second vertex's coordinate on side ``case`` and the
     third vertex over the full perimeter, with the first vertex at (x1, 0).
-    Always nonnegative; the closed forms are SIDE_CASE_FORMS.
+    Always nonnegative; the closed forms are SIDE_CASE_FORMS.  ``cfg`` is
+    accepted and ignored: the fixed rule is exact up to rounding at every
+    tolerance.
     """
     case = _check_case(case)
     x1 = _check_x1(x1)
-    value, _ = _side_sweep((case,), np.array([x1]), cfg.rel_tol, cfg.max_depth)
-    return float(value[0])
+    return float(_side_sweep((case,), np.array([x1])).sum())
 
 
 def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> float:
@@ -225,24 +221,13 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
 
     ``p1_side`` pins the first vertex to another side instead of the
     bottom; the answer must not depend on it (checked by rotating every
-    configuration, which preserves areas exactly up to rounding).
+    configuration, which preserves areas exactly up to rounding).  ``cfg``
+    is accepted and ignored: the x1 integrand is the quadratic sum of
+    SIDE_CASE_FORMS, which the 2-node rule integrates exactly, so the mean
+    is 5/32 up to rounding at every tolerance.
     """
     p1_side = _check_case(p1_side)
-    budgets = cfg.rel_tol * _budget_shares(2)
-
-    def outer(ids: np.ndarray, x1: np.ndarray):
-        value, err = _side_sweep(
-            (1, 2, 3, 4), x1.ravel(), budgets[1], cfg.max_depth,
-            quarter_turns=p1_side - 1,
-        )
-        return value.reshape(x1.shape), err.reshape(x1.shape)
-
-    value, _ = adaptive_quad_batch(
-        outer,
-        np.array([0.0]),
-        np.array([1.0]),
-        rel_tol=budgets[0],
-        max_depth=cfg.max_depth,
-    )
+    nodes, weights = _GAUSS_LEGENDRE_2
+    sums = _side_sweep((1, 2, 3, 4), nodes, quarter_turns=p1_side - 1).sum(axis=0)
     # second vertex: 4 unit sides; third vertex: perimeter length 4
-    return float(value[0]) / 16.0
+    return float((weights * sums).sum()) / 16.0

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from randtri import frame
 from randtri.frame import (
     SIDE_CASE_FORMS,
     _corner_areas,
+    _corner_lines,
     _kinks,
+    _side_sweep,
     expected_area_frame,
     frame_xy,
     side_case_value,
@@ -17,13 +20,15 @@ from randtri.frame import (
 from randtri.geometry import signed_area_xy
 from randtri.quadrature import QuadConfig
 
-# the u-interval is split at every kink, so the frame route is exact up to
-# rounding; this bound leaves room for a few hundred ulp
-EXACT = 1e-13
+# the u-interval is split at every kink and each piece is a polynomial that
+# the fixed rule integrates exactly, so the frame route is exact up to
+# rounding: a relative bound of 9 ulp, where 2 ulp have been seen
+EXACT = 2e-15
+EPS = np.finfo(float).eps
 
 # x1 where the kink u = x1 falls on an end of the u-interval or on a
-# bisection panel edge, their float neighbours, and a seeded random x1 of
-# the benchmark whose kink the unsplit sweep missed by 5.0e-6 relative
+# dyadic point, their float neighbours, and a seeded random x1 of the
+# benchmark whose kink an unsplit sweep misses by 5.0e-6 relative
 EDGE_X1 = sorted(
     {
         y
@@ -83,8 +88,8 @@ class TestSideCases:
     @pytest.mark.parametrize("case", [1, 2, 3, 4])
     @pytest.mark.parametrize("x1", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_matches_closed_form(self, case, x1):
-        got = side_case_value(case, x1)
-        assert abs(got - SIDE_CASE_FORMS[case](x1)) <= EXACT
+        want = SIDE_CASE_FORMS[case](x1)
+        assert abs(side_case_value(case, x1) - want) <= EXACT * want
 
     def test_matches_closed_form_at_random_x1(self):
         rng = np.random.default_rng(20260)
@@ -161,13 +166,20 @@ class TestSideCases:
             side_case_value(1, float("nan"))
 
 
+def kink_roots(cases, x1, quarter_turns=0):
+    """The sweep's breakpoints: one row per x1, one column per (case, corner)."""
+    return np.concatenate(
+        [_kinks(*_corner_lines(case, x1, quarter_turns)) for case in cases]
+    ).T
+
+
 class TestKinks:
     RANDOM_X1 = np.random.default_rng(7).random(64)
     X1 = np.concatenate([RANDOM_X1, EDGE_X1])
 
     @pytest.mark.parametrize("cases", [(1,), (2,), (3,), (4,), (1, 2, 3, 4)])
     def test_roots_are_interior_and_at_most_four_per_case(self, cases):
-        roots = _kinks(cases, self.X1)
+        roots = kink_roots(cases, self.X1)
         assert roots.shape == (self.X1.size, 4 * len(cases))
         found = ~np.isnan(roots)
         assert np.all((roots[found] > 0.0) & (roots[found] < 1.0))
@@ -178,7 +190,7 @@ class TestKinks:
         # boundary again only at that corner, unless p2 shares p1's side:
         # there the areas at the two far corners flip sign at u = x1
         x1 = self.RANDOM_X1
-        roots = _kinks((1, 2, 3, 4), x1)
+        roots = kink_roots((1, 2, 3, 4), x1)
         assert np.all(np.isnan(roots[:, [0, 1] + list(range(4, 16))]))
         assert np.allclose(roots[:, 2], x1, rtol=0.0, atol=4e-16)
         assert np.allclose(roots[:, 3], x1, rtol=0.0, atol=4e-16)
@@ -186,7 +198,7 @@ class TestKinks:
     @pytest.mark.parametrize("turns", [0, 1])
     def test_corner_area_vanishes_at_its_root(self, turns):
         cases = (1, 2, 3, 4)
-        roots = _kinks(cases, self.X1, quarter_turns=turns)
+        roots = kink_roots(cases, self.X1, quarter_turns=turns)
         for col in range(roots.shape[1]):
             case, corner = cases[col // 4], col % 4
             hit = ~np.isnan(roots[:, col])
@@ -200,32 +212,63 @@ class TestKinks:
     def test_roots_on_interval_ends_are_dropped(self, x1):
         # at a corner x1 some areas vanish at u = 0 or u = 1 itself: those
         # are not breakpoints (EDGE_X1 checks the values there)
-        roots = _kinks((1, 2, 3, 4), np.array([x1]))
+        roots = kink_roots((1, 2, 3, 4), np.array([x1]))
         assert np.all(np.isnan(roots))
+
+    def test_corner_lines_match_corner_areas(self):
+        # a0 + slope * u is the corner area at every u, to rounding
+        u = np.linspace(0.0, 1.0, 9)[:, None]
+        for case in (1, 2, 3, 4):
+            a0, slope = _corner_lines(case, self.X1, quarter_turns=1)
+            want = _corner_areas(case, self.X1, u, quarter_turns=1)
+            got = a0[:, None] + slope[:, None] * u
+            assert np.allclose(got, want, rtol=0.0, atol=4 * EPS), case
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_pieces_are_polynomials_of_degree_at_most_three(
+        self, monkeypatch, case, turns
+    ):
+        # the 2-node rule is exact to degree 3 and a 3-node rule to degree
+        # 5, so on a piece of degree at most 3 they differ by rounding
+        # alone; a missed kink on a piece would show as a gross difference
+        x1 = np.random.default_rng(21).random(100)
+        two = _side_sweep((case,), x1, turns)
+        nodes, weights = np.polynomial.legendre.leggauss(3)
+        monkeypatch.setattr(
+            frame, "_GAUSS_LEGENDRE_2", (0.5 + 0.5 * nodes, 0.5 * weights)
+        )
+        three = _side_sweep((case,), x1, turns)
+        edges = np.sort(np.column_stack(
+            [np.zeros(x1.size), np.fmin(kink_roots((case,), x1, turns), 1.0),
+             np.ones(x1.size)]), axis=1)
+        width = np.diff(edges, axis=1).T
+        # the integrand stays below 2: a few ulp of it per unit of width
+        assert np.all(np.abs(two - three) <= 4 * EPS * width), (case, turns)
 
 
 class TestFrameMean:
     def test_sum_polynomial_integrates_to_five_halves(self):
         # integrating 17/6 - 2x + 2x^2 over [0, 1] gives 5/2
         mean = expected_area_frame()
-        assert abs(16.0 * mean - 2.5) <= EXACT
+        assert abs(16.0 * mean - 2.5) <= EXACT * 2.5
 
     def test_mean_value(self):
         mean = expected_area_frame()
-        assert abs(mean - 5.0 / 32.0) <= EXACT
+        assert abs(mean - 5.0 / 32.0) <= EXACT * mean
 
     @pytest.mark.parametrize("side", [2, 3, 4])
     def test_first_vertex_side_is_irrelevant(self, side):
         cfg = QuadConfig(rel_tol=1e-5)
         base = expected_area_frame(cfg)
         other = expected_area_frame(cfg, p1_side=side)
-        assert abs(other - base) <= EXACT
+        assert abs(other - base) <= EXACT * base
 
     @pytest.mark.parametrize("side", [1, 2, 3, 4])
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_exact_at_every_tolerance(self, rel_tol, side):
         mean = expected_area_frame(QuadConfig(rel_tol=rel_tol), p1_side=side)
-        assert abs(mean - 5.0 / 32.0) <= EXACT
+        assert abs(mean - 5.0 / 32.0) <= EXACT * mean
 
     def test_bad_first_side_rejected(self):
         for side in (0, 1.0, 2.0):

@@ -475,16 +475,23 @@ class TestNested:
         assert r1.evaluations == r2.evaluations
 
     def test_rule_per_level(self, monkeypatch):
-        # G3/K7 rows on x1 and y1, G7/K15 rows on x2 and y2; the frame's
-        # two engine levels keep the default G7/K15
+        # G3/K7 rows on x1 and y1, G7/K15 rows on x2 and y2; the frame
+        # runs its fixed rule and never enters the engine
         widths = record_rows(monkeypatch, quadrature)
         nested_quadrature(region_catalog(1.3, 0.8)["I1"], QuadConfig(rel_tol=1e-6))
         assert {level: set(w) for level, w in widths.items()} == {
             0: {7}, 1: {7}, 2: {15}, 3: {15}
         }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the frame route entered the adaptive engine")
+
         widths = record_rows(monkeypatch, frame)
+        monkeypatch.setattr(quadrature, "adaptive_quad_batch", forbidden)
+        monkeypatch.setattr(quadrature, "_budget_shares", forbidden)
         frame.expected_area_frame(QuadConfig(rel_tol=1e-6))
-        assert {level: set(w) for level, w in widths.items()} == {0: {15}, 1: {15}}
+        frame.side_case_value(1, 0.37, QuadConfig(rel_tol=1e-6))
+        assert widths == {}
 
 
 # (value.hex(), est_error.hex(), evaluations, converged) at rel_tol 1e-4,
@@ -557,13 +564,13 @@ def test_deep_catalog_results_are_frozen_to_the_bit(cell):
     assert got == FROZEN_DEEP[cell.name]
 
 
-# frame.side_case_value(case, 0.37) at rel_tol 1e-8: the frame's two engine
-# levels, the inner one returning no inner error
+# frame.side_case_value(case, 0.37) at rel_tol 1e-8: the fixed 2-node rule
+# on each kink-split piece, which ignores the tolerance
 SIDE_FROZEN = {
     1: "0x1.114e3bcd35a86p-2",
-    2: "0x1.68902de00d1b6p-1",
+    2: "0x1.68902de00d1b8p-1",
     3: "0x1.99a8e448a2bf6p-1",
-    4: "0x1.3118b66895a42p-1",
+    4: "0x1.3118b66895a40p-1",
 }
 
 
@@ -591,32 +598,30 @@ def test_frame_means_are_frozen_to_the_bit(rel_tol, side):
     assert value.hex() == FRAME_FROZEN[rel_tol, side]
 
 
-# frame._side_sweep((1, 2, 3, 4), [x1], 1e-8, 12, quarter_turns=q) as
-# (value, err): the whole sweep of one first vertex in each rotation, at a
-# plain x1, at x1 = 0.7 and at the benchmark x1 whose kink once went missing.
+# frame._side_sweep((1, 2, 3, 4), [x1], quarter_turns=q) summed over its
+# pieces: the whole sweep of one first vertex in each rotation, at a plain
+# x1, at x1 = 0.7 and at the benchmark x1 whose kink once went missing.
 # The frame means all round to 5/32 itself, so these pin the route tighter
 SWEEP_FROZEN = {
-    (0.37, 0): ("0x1.2efe399df814dp+1", "0x0.0p+0"),
-    (0.37, 1): ("0x1.2efe399df814dp+1", "0x0.0p+0"),
-    (0.37, 2): ("0x1.2efe399df814cp+1", "0x1.0000000000000p-52"),
-    (0.37, 3): ("0x1.2efe399df814dp+1", "0x0.0p+0"),
-    (0.7, 0): ("0x1.34e81b4e81b4fp+1", "0x1.0000000000000p-53"),
-    (0.7, 1): ("0x1.34e81b4e81b4fp+1", "0x1.0000000000000p-53"),
-    (0.7, 2): ("0x1.34e81b4e81b4ep+1", "0x1.0000000000000p-52"),
-    (0.7, 3): ("0x1.34e81b4e81b4fp+1", "0x1.0000000000000p-53"),
-    (0.0015847499555259326, 0): ("0x1.6a42f91bf4993p+1", "0x1.0000000000000p-60"),
-    (0.0015847499555259326, 1): ("0x1.6a42f91bf4993p+1", "0x1.0000000000000p-60"),
-    (0.0015847499555259326, 2): ("0x1.6a42f91bf4993p+1", "0x1.0080000000000p-51"),
-    (0.0015847499555259326, 3): ("0x1.6a42f91bf4993p+1", "0x1.0000000000000p-60"),
+    (0.37, 0): "0x1.2efe399df814cp+1",
+    (0.37, 1): "0x1.2efe399df814cp+1",
+    (0.37, 2): "0x1.2efe399df814cp+1",
+    (0.37, 3): "0x1.2efe399df814cp+1",
+    (0.7, 0): "0x1.34e81b4e81b4dp+1",
+    (0.7, 1): "0x1.34e81b4e81b4dp+1",
+    (0.7, 2): "0x1.34e81b4e81b4dp+1",
+    (0.7, 3): "0x1.34e81b4e81b4dp+1",
+    (0.0015847499555259326, 0): "0x1.6a42f91bf4993p+1",
+    (0.0015847499555259326, 1): "0x1.6a42f91bf4993p+1",
+    (0.0015847499555259326, 2): "0x1.6a42f91bf4993p+1",
+    (0.0015847499555259326, 3): "0x1.6a42f91bf4993p+1",
 }
 
 
 @pytest.mark.parametrize("x1,quarter_turns", sorted(SWEEP_FROZEN))
 def test_side_sweeps_are_frozen_to_the_bit(x1, quarter_turns):
-    value, err = frame._side_sweep(
-        (1, 2, 3, 4), np.array([x1]), 1e-8, 12, quarter_turns=quarter_turns
-    )
-    assert (value[0].hex(), err[0].hex()) == SWEEP_FROZEN[x1, quarter_turns]
+    pieces = frame._side_sweep((1, 2, 3, 4), np.array([x1]), quarter_turns)
+    assert pieces.sum(axis=0)[0].hex() == SWEEP_FROZEN[x1, quarter_turns]
 
 
 class TestKernel:
