@@ -1,6 +1,8 @@
 """Boundary-vertex problem: perimeter parametrization and side-case integrals."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from scipy.integrate import quad as scipy_quad
 from randtri import frame
 from randtri.frame import (
     SIDE_CASE_FORMS,
+    _area_lines,
     _corner_areas,
-    _corner_lines,
-    _kinks,
+    _kink,
     _side_sweep,
     expected_area_frame,
     frame_xy,
@@ -38,6 +40,17 @@ EDGE_X1 = sorted(
     }
     | {0.0015847499555259326}
 )
+
+# sha256 over "\n".join of float.hex: side_case_value at 256 seeded x1 and
+# at EDGE_X1, all four cases, then expected_area_frame for p1_side 1..4
+VALUES_SHA256 = "8d8cf704bf5173324a835b31f0883daf4f4e8bcc1f143be7767836d707e0e9c5"
+
+
+def test_values_are_frozen_to_the_bit():
+    x1s = np.random.default_rng(22).random(256).tolist() + EDGE_X1
+    hexes = [side_case_value(case, x1).hex() for x1 in x1s for case in (1, 2, 3, 4)]
+    hexes += [expected_area_frame(p1_side=side).hex() for side in (1, 2, 3, 4)]
+    assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == VALUES_SHA256
 
 
 class TestParametrization:
@@ -157,20 +170,36 @@ class TestSideCases:
         assert side_case_value(np.int64(2), 0.37) == side_case_value(2, 0.37)
 
     def test_bad_case_and_coordinate_rejected(self):
-        for case in (5, 0, 1.0, 2.0):
+        for case in (5, 0, 1.0, 2.0, True, np.True_):
             with pytest.raises(ValueError):
                 side_case_value(case, 0.5)
-        with pytest.raises(ValueError):
-            side_case_value(1, 1.5)
-        with pytest.raises(ValueError):
-            side_case_value(1, float("nan"))
+        for x1 in (1.5, float("nan"), "0.5", True, False, None, np.array([0.5])):
+            with pytest.raises(ValueError):
+                side_case_value(1, x1)
+
+    def test_real_number_x1_accepted(self):
+        want = side_case_value(1, 0.5)
+        for x1 in (np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+            assert side_case_value(1, x1) == want
+        assert side_case_value(1, np.int64(1)) == side_case_value(1, 1.0)
 
 
-def kink_roots(cases, x1, quarter_turns=0):
-    """The sweep's breakpoints: one row per x1, one column per (case, corner)."""
-    return np.concatenate(
-        [_kinks(*_corner_lines(case, x1, quarter_turns)) for case in cases]
-    ).T
+def kink_roots(cases, x1s, quarter_turns=0):
+    """The sweep's breakpoints: one row per x1, one column per (case, corner).
+
+    NaN where that corner area has no root inside (0, 1).
+    """
+    return np.array([
+        [np.nan if (root := _kink(a0, slope)) is None else root
+         for case in cases for a0, slope in _area_lines(case, x1, quarter_turns)]
+        for x1 in np.asarray(x1s).tolist()
+    ])
+
+
+def piece_edges(case, x1, quarter_turns=0):
+    """0, the distinct breakpoints of one case's sweep in order, and 1."""
+    roots = kink_roots((case,), [x1], quarter_turns)[0]
+    return [0.0, *sorted(set(roots[~np.isnan(roots)].tolist())), 1.0]
 
 
 class TestKinks:
@@ -217,12 +246,13 @@ class TestKinks:
 
     def test_corner_lines_match_corner_areas(self):
         # a0 + slope * u is the corner area at every u, to rounding
-        u = np.linspace(0.0, 1.0, 9)[:, None]
+        u = np.linspace(0.0, 1.0, 9)
         for case in (1, 2, 3, 4):
-            a0, slope = _corner_lines(case, self.X1, quarter_turns=1)
-            want = _corner_areas(case, self.X1, u, quarter_turns=1)
-            got = a0[:, None] + slope[:, None] * u
-            assert np.allclose(got, want, rtol=0.0, atol=4 * EPS), case
+            for x1 in self.X1.tolist():
+                lines = _area_lines(case, x1, quarter_turns=1)
+                want = _corner_areas(case, x1, u, quarter_turns=1)
+                got = [a0 + slope * u for a0, slope in lines]
+                assert np.allclose(got, want, rtol=0.0, atol=4 * EPS), case
 
     @pytest.mark.parametrize("turns", [0, 1, 2, 3])
     @pytest.mark.parametrize("case", [1, 2, 3, 4])
@@ -232,19 +262,33 @@ class TestKinks:
         # the 2-node rule is exact to degree 3 and a 3-node rule to degree
         # 5, so on a piece of degree at most 3 they differ by rounding
         # alone; a missed kink on a piece would show as a gross difference
-        x1 = np.random.default_rng(21).random(100)
-        two = _side_sweep((case,), x1, turns)
+        x1s = np.random.default_rng(21).random(100).tolist()
+        two = [_side_sweep(case, x1, turns) for x1 in x1s]
         nodes, weights = np.polynomial.legendre.leggauss(3)
-        monkeypatch.setattr(
-            frame, "_GAUSS_LEGENDRE_2", (0.5 + 0.5 * nodes, 0.5 * weights)
-        )
-        three = _side_sweep((case,), x1, turns)
-        edges = np.sort(np.column_stack(
-            [np.zeros(x1.size), np.fmin(kink_roots((case,), x1, turns), 1.0),
-             np.ones(x1.size)]), axis=1)
-        width = np.diff(edges, axis=1).T
-        # the integrand stays below 2: a few ulp of it per unit of width
-        assert np.all(np.abs(two - three) <= 4 * EPS * width), (case, turns)
+        monkeypatch.setattr(frame, "_GAUSS_LEGENDRE_2",
+                            ((0.5 + 0.5 * nodes).tolist(), (0.5 * weights).tolist()))
+        three = [_side_sweep(case, x1, turns) for x1 in x1s]
+        for x1, two_pieces, three_pieces in zip(x1s, two, three):
+            width = np.diff(piece_edges(case, x1, turns))
+            # the integrand stays below 2: a few ulp of it per unit of width
+            diff = np.abs(np.subtract(two_pieces, three_pieces))
+            assert np.all(diff <= 4 * EPS * width), (case, turns)
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4])
+    def test_sweep_integrates_one_piece_more_than_its_kinks(self, case, turns):
+        # no zero-width piece: a repeated root splits the interval once
+        for x1 in self.X1.tolist():
+            want = len(piece_edges(case, x1, turns)) - 1
+            assert len(_side_sweep(case, x1, turns)) == want, (case, x1)
+
+    def test_case_one_alone_splits_once(self):
+        # the second vertex passes the first only on the first one's side,
+        # at u = x1; at a corner x1 that point is an end of the interval
+        for x1 in [0.0, *self.RANDOM_X1.tolist(), 1.0]:
+            pieces = 2 if 0.0 < x1 < 1.0 else 1
+            assert [len(_side_sweep(case, x1)) for case in (1, 2, 3, 4)] == [
+                pieces, 1, 1, 1], x1
 
 
 class TestFrameMean:
@@ -271,6 +315,6 @@ class TestFrameMean:
         assert abs(mean - 5.0 / 32.0) <= EXACT * mean
 
     def test_bad_first_side_rejected(self):
-        for side in (0, 1.0, 2.0):
+        for side in (0, 1.0, 2.0, True, np.True_, "1"):
             with pytest.raises(ValueError):
                 expected_area_frame(p1_side=side)

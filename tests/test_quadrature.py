@@ -598,19 +598,19 @@ def test_frame_means_are_frozen_to_the_bit(rel_tol, side):
     assert value.hex() == FRAME_FROZEN[rel_tol, side]
 
 
-# frame._side_sweep((1, 2, 3, 4), [x1], quarter_turns=q) summed over its
-# pieces: the whole sweep of one first vertex in each rotation, at a plain
-# x1, at x1 = 0.7 and at the benchmark x1 whose kink once went missing.
-# The frame means all round to 5/32 itself, so these pin the route tighter
+# frame._side_value(case, x1, q) summed over the four cases in order: the
+# whole sweep of one first vertex in each rotation, at a plain x1, at
+# x1 = 0.7 and at the benchmark x1 whose kink once went missing.  The
+# frame means all round to 5/32 itself, so these pin the route tighter
 SWEEP_FROZEN = {
     (0.37, 0): "0x1.2efe399df814cp+1",
     (0.37, 1): "0x1.2efe399df814cp+1",
     (0.37, 2): "0x1.2efe399df814cp+1",
     (0.37, 3): "0x1.2efe399df814cp+1",
-    (0.7, 0): "0x1.34e81b4e81b4dp+1",
-    (0.7, 1): "0x1.34e81b4e81b4dp+1",
-    (0.7, 2): "0x1.34e81b4e81b4dp+1",
-    (0.7, 3): "0x1.34e81b4e81b4dp+1",
+    (0.7, 0): "0x1.34e81b4e81b4fp+1",
+    (0.7, 1): "0x1.34e81b4e81b4fp+1",
+    (0.7, 2): "0x1.34e81b4e81b4fp+1",
+    (0.7, 3): "0x1.34e81b4e81b4fp+1",
     (0.0015847499555259326, 0): "0x1.6a42f91bf4993p+1",
     (0.0015847499555259326, 1): "0x1.6a42f91bf4993p+1",
     (0.0015847499555259326, 2): "0x1.6a42f91bf4993p+1",
@@ -620,8 +620,10 @@ SWEEP_FROZEN = {
 
 @pytest.mark.parametrize("x1,quarter_turns", sorted(SWEEP_FROZEN))
 def test_side_sweeps_are_frozen_to_the_bit(x1, quarter_turns):
-    pieces = frame._side_sweep((1, 2, 3, 4), np.array([x1]), quarter_turns)
-    assert pieces.sum(axis=0)[0].hex() == SWEEP_FROZEN[x1, quarter_turns]
+    total = 0.0
+    for case in (1, 2, 3, 4):
+        total += frame._side_value(case, x1, quarter_turns)
+    assert total.hex() == SWEEP_FROZEN[x1, quarter_turns]
 
 
 class TestKernel:
