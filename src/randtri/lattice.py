@@ -9,36 +9,54 @@ grows; at n = 10 it equals 249/1600, within 1/1600 of the limit.
 Scaling coordinates by 2n makes them integers, so the lattice is built
 directly as int64 coordinates from frame's perimeter table (corner k and
 the step to corner k + 1), and twice the scaled area is an integer cross
-product.  The triples are not enumerated one by one.  With the first two
-vertices fixed, the cross product is affine along each side, A + B*m for
-the third vertex's index m = 1..n, so its absolute values sum in closed
-form (the discrete twin of frame's affine |area| integral):
+product.  The triples are not enumerated one by one, and no absolute value
+is taken.  The square is convex and the lattice walks its boundary
+counterclockwise, so three lattice points taken in walk order turn left or
+lie on one line: for i < j < k the cross product
+C_ijk = (P_j - P_i) x (P_k - P_i) is >= 0.  The six orderings of a triple
+share one |C|, so the total over all ordered triples is 6 * sum_{i<j<k}
+C_ijk.  Writing C_ijk = P_i x P_j + P_j x P_k + P_k x P_i, a pair a < b
+enters as P_a x P_b for the N - 1 - b choices of k > b and the a choices of
+i < a, and as P_b x P_a for the b - a - 1 choices between them, so with
+N = 4n points
 
-    sum_{m=1..n} |A + B*m| = S(n) - 2*S(k),   S(k) = A*k + B*k*(k+1)/2,
+    sum_{i<j<k} C_ijk = sum_{a<b} (N - 2(b - a)) P_a x P_b
+                      = sum_b W_b x P_b,   W_b = sum_{a<b} (N - 2b + 2a) P_a,
 
-where, with B > 0 (negate both otherwise), the first
-k = clip(floor((-A-1)/B), 0, n) terms are the negative ones: the split at
-floor(-A/B).  With B = 0 every term is A, so k must be n when A < 0 and
-0 otherwise; the clip with B taken as 1 gives that, as the first vertex
-is on the bottom side at odd x: B = 0 only for a second vertex on that
-side or straight above it, where A is 0 or at least 2n in size.  A
-quarter turn and the mirror x -> 2n - x map the lattice onto itself, so
-the first vertex sweeps half the bottom side: 16n * ceil(n/2), about
-8n**2, sums in all (ceil(n/2) first vertices x 4n second vertices x 4
-sides), computed in int64 blocks and added up as Python ints, then one
+where W_b comes from two running sums: 4n int64 terms in all, then one
 exact division.
 
-The result equals 5/32 - 1/(16 n**2).  That law is verified exactly, by
-the Tier-1 tests for every n <= 200 and at n = 2500 and by the report's
-lattice-exactness criterion at n = 1000; it is not proven here.  (A
-candidate argument is the midpoint rule applied to the piecewise-quadratic
-per-side means, whose only error term is h**2 times a difference of
-derivatives; it needs every kink of |area| to fall where the rule stays
-exact, which is not shown.)
+The result is 5/32 - 1/(16 n**2) for every n.  Split the same total by the
+sides the vertices lie on.  Fix the first vertex on the bottom side at
+scaled x = a (a quarter turn carries every other first vertex there); the
+second and third vertices sit at indices j and m along their sides, with
+scaled heights y.  Per first vertex, the (second side, third side) totals
+of |C| are:
+
+- same side s: 2|m - j| * d_s, summed 2 d_s (n**3 - n)/3, where d_s is the
+  scaled distance to the side's line, 0, 2n - a, 2n and a for the bottom,
+  right, top and left sides, so the four add up to 8n (n**3 - n)/3;
+- bottom with side s, in either order: |x2 - a| * y3, which factorises as
+  D(a) * Y_s with D(a) = sum over the bottom of |x2 - a| and Y_s = n**2,
+  2n**2 and n**2 for the right, top and left sides: 8n**2 D(a) in all;
+- (right, left) and its reverse: 2n**4 each;
+- (right, top) and its reverse: 3n**4 - n**3 a each, and (top, left) and
+  its reverse: n**4 + n**3 a each.  The mirror x -> 2n - x maps (top,
+  left) onto (right, top), and both total 2n**5 over the bottom side.
+
+Walk order fixes the sign within every block of two different sides, so
+these are sums of coordinates.  Over the n first vertices, with
+sum_a D(a) = 2(n**3 - n)/3, the total is 20n**5 - 8n**3, and the mean is
+4 (20n**5 - 8n**3) / ((4n)**3 * 2 * (2n)**2) = 5/32 - 1/(16 n**2).  The
+Tier-1 tests check each block against brute force for n <= 12, the
+enumeration against all (4n)**3 triples for n <= 40, and the law for every
+n <= 1000 and at n = 2500; the report's lattice-exactness criterion checks
+it at n = 1000.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -52,13 +70,19 @@ __all__ = [
 ]
 
 DEFAULT_WORK_LIMIT = 10**8
-# int64 elements per block of closed-form sums, at least the 16n of one first
-# vertex; 128 KiB temporaries stay in L2 (2**16 ran 1.5x slower at n <= 1000)
-_BLOCK = 2**14
 
 
 class WorkLimitExceededError(RuntimeError):
     """The requested enumeration is larger than the configured work limit."""
+
+
+def _check_n(n: int) -> int:
+    # numpy integers pass; bools and floats such as 3.0 do not
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return int(n)
 
 
 def midpoint_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,10 +91,10 @@ def midpoint_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
     Sides come in perimeter order (bottom, right, top, left), each walked
     from its first corner: midpoint j of side k is 2n * corner k +
     (2j - 1) * step k, for j = 1..n.  Every coordinate is 0 or 2n across
-    the side and odd along it.
+    the side and odd along it.  Raises ValueError unless n is an integer
+    >= 1 (bools are rejected).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _check_n(n)
     odd = np.arange(1, 2 * n, 2, dtype=np.int64)[:, None]
     anchor, step = _CORNERS.astype(np.int64), _STEPS.astype(np.int64)
     points = 2 * n * anchor[:, None, :] + odd * step[:, None, :]  # (side, j, xy)
@@ -80,59 +104,35 @@ def midpoint_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
 def enumerate_mean_area(n: int) -> Fraction:
     """Exact mean of |area| over all ordered vertex triples of the lattice.
 
-    The first vertex sweeps the first half of the bottom side only, each
-    vertex weighted by 4 for the quarter turns and by 2 for the mirror
-    (see the module docstring); the middle vertex of odd n is its own
-    image and counts once.  For each first vertex i, second vertex j and
-    side s of the third vertex, the n cross products A + B*m sum in closed
-    form, split at floor(-A/B): 16n * ceil(n/2) sums in all.
-
-    Each sum is at most n * 4n**2 (a cross product is at most (2n)**2),
-    and a block holds at most max(2**14, 16n) of them, so a block's int64
-    total, with every vertex weighted by at most 2, stays below
-    2 * max(2**14, 16n) * 4n**3: 5.0e15 at n = 2500, against the int64
-    limit of 9.2e18.  The blocks are added as Python ints.  The result is
-    5/32 - 1/(16 n**2), not proven: the Tier-1 tests verify it for n <= 200
-    and at 2500, the report's lattice-exactness criterion at 1000.
+    Sums W_b x P_b over the 4n points in walk order (see the module
+    docstring), six times that being the total |cross product| of all
+    (4n)**3 ordered triples.  The coordinates are at most 2n, so the
+    running sums over a <= b of P_a and of a * P_a stay below 8n**2 and
+    16n**3 per coordinate, each coordinate of W_b below
+    4n * 8n**2 + 2 * 16n**3 = 64n**3, and each term below 256n**4:
+    1.0e16 at n = 2500, against the int64 limit of 9.2e18.  The terms are
+    added as Python ints, as that bound does not keep their sum inside
+    int64 (4n * 256n**4 = 1.0e20 at n = 2500).  The result is
+    5/32 - 1/(16 n**2), as the module docstring shows.
 
     Raises WorkLimitExceededError, before building anything, when the
-    16n**2 closed-form sums of the full sweep, the one the mirror halves,
-    exceed DEFAULT_WORK_LIMIT (so n <= 2500), and ValueError when n < 1.
+    (4n)**2 ordered (second, third) vertex pairs of one first vertex
+    exceed DEFAULT_WORK_LIMIT (so n <= 2500, which also keeps every term
+    far inside int64), and ValueError unless n is an integer >= 1 (bools
+    are rejected).
     """
-    sums = 16 * n * n
-    if n >= 1 and sums > DEFAULT_WORK_LIMIT:  # n < 1 is midpoint_lattice's ValueError
+    n = _check_n(n)
+    pairs = (4 * n) ** 2
+    if pairs > DEFAULT_WORK_LIMIT:
         raise WorkLimitExceededError(
-            f"16*{n}**2 = {sums:,} closed-form sums exceeds the limit "
-            f"{DEFAULT_WORK_LIMIT:,}"
+            f"(4*{n})**2 = {pairs:,} vertex pairs per first vertex exceeds "
+            f"the limit {DEFAULT_WORK_LIMIT:,}"
         )
-    xs, ys = midpoint_lattice(n)
-    # the third vertex on side s at m = 1..n is anchor s + 2m * step s,
-    # its anchor one midpoint spacing before the side's first midpoint;
-    # both are (side, 1, 1) columns, so the side axis comes first and
-    # numpy's inner loops run along the 4n second vertices, not 4 sides
-    step_x, step_y = _STEPS.astype(np.int64).T[:, :, None, None]
-    anchor_x = xs[::n, None, None] - 2 * step_x
-    anchor_y = ys[::n, None, None] - 2 * step_y
-
-    half = (n + 1) // 2  # the mirror x -> 2n - x takes vertex i to n - 1 - i
-    rows = max(1, _BLOCK // (16 * n))
-    total = 0
-    for lo in range(0, half, rows):
-        # the bottom side comes first in lattice order
-        hi = min(lo + rows, half)
-        x1 = xs[lo:hi, None]
-        y1 = ys[lo:hi, None]
-        u = xs - x1  # (first, second)
-        v = ys - y1
-        a = u * (anchor_y - y1) - v * (anchor_x - x1)  # (side, first, second)
-        b = 2 * (u * step_y - v * step_x)
-        np.negative(a, out=a, where=b < 0)
-        b = np.abs(b)
-        k = np.clip((-a - 1) // np.maximum(b, 1), 0, n)
-        # sum_m |a + b*m| = S(n) - 2 S(k), S(k) = a*k + b*k(k+1)/2
-        partial = (n - 2 * k) * a + b * ((n * (n + 1)) // 2 - k * (k + 1))
-        # the middle vertex of odd n, at x = n, is its own mirror image
-        weight = np.where(x1[:, 0] == n, 1, 2)
-        total += int(weight @ partial.sum(axis=(0, 2)))
-    # four sides for the first vertex; scaled cross product = area * 2 * (2n)^2
-    return Fraction(4 * total, (4 * n) ** 3 * 2 * (2 * n) ** 2)
+    points = np.stack(midpoint_lattice(n), axis=1)  # (4n, xy), walk order
+    b = np.arange(4 * n, dtype=np.int64)[:, None]
+    # the running sums take in a = b too, harmless as P_b x P_b = 0
+    w = (4 * n - 2 * b) * np.cumsum(points, axis=0) + 2 * np.cumsum(b * points, axis=0)
+    terms = w[:, 0] * points[:, 1] - w[:, 1] * points[:, 0]
+    total = 6 * sum(terms.tolist())
+    # scaled cross product = area * 2 * (2n)^2
+    return Fraction(total, (4 * n) ** 3 * 2 * (2 * n) ** 2)

@@ -1,5 +1,6 @@
 """Exact rational enumeration over boundary midpoint lattices."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,6 +36,22 @@ def _cubic_mean_area(n):
     total = sum(_cubic_totals(n))
     return Fraction(4 * total, (4 * n) ** 3 * 2 * (2 * n) ** 2)
 
+
+def _side_pair_totals(n):
+    """Brute-force sum of |cross product| for each bottom first vertex
+    i = 0..n-1, split by the sides of the second and third vertices: an
+    (n, 4, 4) array in lattice side order (bottom, right, top, left)."""
+    xs, ys = midpoint_lattice(n)
+    tables = []
+    for i in range(n):
+        u = xs - xs[i]
+        v = ys - ys[i]
+        cross = u[:, None] * v[None, :] - u[None, :] * v[:, None]
+        tables.append(np.abs(cross).reshape(4, n, 4, n).sum(axis=(1, 3)))
+    return np.array(tables, dtype=object)
+
+
+BOTTOM, RIGHT, TOP, LEFT = range(4)
 
 FROZEN = {
     1: Fraction(3, 32),
@@ -99,6 +116,22 @@ class TestLatticeConstruction:
         with pytest.raises(ValueError):
             enumerate_mean_area(-3)
 
+    @pytest.mark.parametrize(
+        "n", [True, False, np.True_, 2.5, 3.0, np.float64(2), "3", None],
+        ids=["True", "False", "np.True_", "2.5", "3.0", "np.float64", "str", "None"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError):
+            midpoint_lattice(n)
+        with pytest.raises(ValueError):
+            enumerate_mean_area(n)
+
+    def test_numpy_integers_pass(self):
+        for xs, ref in zip(midpoint_lattice(np.int32(3)), midpoint_lattice(3)):
+            assert xs.tolist() == ref.tolist()
+        # the largest permitted n, whose denominator overflows int64
+        n = np.int64(2500)
+        assert enumerate_mean_area(n) == Fraction(5, 32) - Fraction(1, 16 * 2500**2)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,value", sorted(FROZEN.items())[:4])
@@ -111,7 +144,7 @@ class TestEnumeration:
         assert enumerate_mean_area(40) == FROZEN[40]
 
     def test_closed_form_in_n(self):
-        for n in range(1, 201):
+        for n in range(1, 1001):
             assert enumerate_mean_area(n) == Fraction(5, 32) - Fraction(1, 16 * n * n)
 
     def test_matches_cubic_enumeration(self):
@@ -121,10 +154,43 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_mirror_keeps_each_first_vertex_total(self, n):
         # x -> 2n - x maps the lattice onto itself and bottom vertex i to
-        # n - 1 - i, so the sweep doubles the first half (and adds the
-        # middle vertex once when n is odd)
+        # n - 1 - i; the module docstring's proof uses it to carry the
+        # (top, left) side pair onto (right, top)
         totals = _cubic_totals(n)
         assert totals == totals[::-1]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_walk_order_fixes_the_sign(self, n):
+        # every triple taken in lattice (counterclockwise) order turns left
+        # or is degenerate, so the sweep needs no absolute value
+        xs, ys = midpoint_lattice(n)
+        i, j, k = np.array(list(itertools.combinations(range(4 * n), 3))).T
+        cross = (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i])
+        assert cross.min() >= 0
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_side_pair_totals_prove_the_law(self, n):
+        # each closed form of the module docstring's proof, first vertex
+        # at scaled x = a on the bottom side, against brute force
+        tables = _side_pair_totals(n)
+        xs, ys = midpoint_lattice(n)
+        n2, n3, n4 = n**2, n**3, n**4
+        spread = (n3 - n) // 3  # sum of |m - j| over m, j = 1..n
+        distances = []
+        for table, a in zip(tables, xs[:n].tolist()):
+            d = (0, 2 * n - a, 2 * n, a)
+            for side in range(4):
+                assert table[side, side] == 2 * d[side] * spread
+            distances.append(sum(abs(x - a) for x in xs[:n].tolist()))
+            for side, height in ((RIGHT, n2), (TOP, 2 * n2), (LEFT, n2)):
+                assert ys[side * n:(side + 1) * n].sum() == height
+                assert table[BOTTOM, side] == table[side, BOTTOM] == distances[-1] * height
+            assert table[RIGHT, LEFT] == table[LEFT, RIGHT] == 2 * n4
+            assert table[RIGHT, TOP] == table[TOP, RIGHT] == 3 * n4 - n3 * a
+            assert table[TOP, LEFT] == table[LEFT, TOP] == n4 + n3 * a
+        assert sum(distances) == 2 * spread
+        assert tables[:, TOP, LEFT].sum() == tables[:, RIGHT, TOP].sum() == 2 * n**5
+        assert tables.sum() == 20 * n**5 - 8 * n3
 
     def test_refinement_approaches_continuum_mean(self):
         target = Fraction(5, 32)
@@ -140,9 +206,9 @@ class TestEnumeration:
             assert ((4 * n) ** 3 * 2 * (2 * n) ** 2) % mean.denominator == 0
 
     def test_work_limit_guards_large_runs(self, monkeypatch):
-        with pytest.raises(WorkLimitExceededError, match="closed-form sums"):
+        with pytest.raises(WorkLimitExceededError, match="vertex pairs"):
             enumerate_mean_area(2501)
-        # the limit is inclusive: exactly 16n**2 closed-form sums still run
+        # the limit is inclusive: exactly (4n)**2 vertex pairs still run
         monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", 64)
         assert enumerate_mean_area(2) == FROZEN[2]
         monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", 63)
