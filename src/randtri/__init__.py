@@ -18,7 +18,6 @@ from .geometry import (
     signed_volume_xyz,
 )
 from .lattice import (
-    WorkLimitExceededError,
     enumerate_mean_area,
     midpoint_lattice,
 )

@@ -11,7 +11,7 @@ Machine consumers get it as one newline-delimited JSON record on a pipe;
 humans get an aligned table on a TTY.
 
 Exit codes: 0 success, 1 accuracy or acceptance failure, 2 usage error
-(a failed ``--out`` write included), 3 resource limit.
+(a failed ``--out`` write included).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 
 from . import __version__
 from .geometry import CubeDomain, RectDomain
-from .lattice import WorkLimitExceededError, enumerate_mean_area
+from .lattice import enumerate_mean_area
 from .montecarlo import (
     TETRA_MEAN,
     CubeTetrahedron,
@@ -43,7 +43,6 @@ __all__ = ["RunRecord", "main"]
 EXIT_OK = 0
 EXIT_ACCURACY = 1
 EXIT_USAGE = 2
-EXIT_RESOURCE = 3
 
 @dataclasses.dataclass(frozen=True)
 class RunRecord:
@@ -280,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
                     print(json.dumps(payload, indent=2), file=fh)
                     fh.close()  # inside, so a failed flush is reported too
         return code
-    except WorkLimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,7 +47,7 @@ import numbers
 
 import numpy as np
 
-from .geometry import signed_area_xy
+from .geometry import _check_integer, signed_area_xy
 from .quadrature import _GAUSS2, QuadConfig
 # unused here, but perfbench/tracer.py patches frame.adaptive_quad_batch (ROADMAP F2)
 from .quadrature import adaptive_quad_batch  # noqa: F401
@@ -161,14 +161,6 @@ def _kink(a0: float, slope: float) -> float | None:
     return None
 
 
-def _check_case(case: int) -> int:
-    # numpy integers pass; bools and floats such as 2.0 do not
-    integer = isinstance(case, numbers.Integral) and not isinstance(case, bool)
-    if not (integer and 1 <= case <= 4):
-        raise ValueError(f"side case must be 1..4, got {case!r}")
-    return int(case)
-
-
 def _check_x1(x1: float) -> float:
     # numpy floats and integers pass; bools, strings and arrays do not
     if isinstance(x1, bool) or not isinstance(x1, numbers.Real):
@@ -231,7 +223,7 @@ def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> flo
     numpy scalars pass.  ``cfg`` is accepted and ignored: the fixed rule
     is exact up to rounding at every tolerance.
     """
-    return _side_value(_check_case(case), _check_x1(x1))
+    return _side_value(_check_integer(case, "case", 1, 4), _check_x1(x1))
 
 
 def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> float:
@@ -245,7 +237,7 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
     SIDE_CASE_FORMS, which the 2-node rule integrates exactly, so the mean
     is 5/32 up to rounding at every tolerance.
     """
-    quarter_turns = _check_case(p1_side) - 1
+    quarter_turns = _check_integer(p1_side, "p1_side", 1, 4) - 1
     total = 0.0
     for x1, weight in zip(*_GAUSS_LEGENDRE_2):
         sides = 0.0

@@ -50,39 +50,27 @@ sum_a D(a) = 2(n**3 - n)/3, the total is 20n**5 - 8n**3, and the mean is
 4 (20n**5 - 8n**3) / ((4n)**3 * 2 * (2n)**2) = 5/32 - 1/(16 n**2).  The
 Tier-1 tests check each block against brute force for n <= 12, the
 enumeration against all (4n)**3 triples for n <= 40, and the law for every
-n <= 1000 and at n = 2500; the report's lattice-exactness criterion checks
-it at n = 1000.
+n <= 1000, at n = 2500 and at the largest n, 13,777; the report's
+lattice-exactness criterion checks it at n = 1000.
 """
 
 from __future__ import annotations
 
-import numbers
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .frame import _CORNERS, _STEPS
+from .geometry import _check_integer
 
 __all__ = [
-    "WorkLimitExceededError",
     "enumerate_mean_area",
     "midpoint_lattice",
 ]
 
-DEFAULT_WORK_LIMIT = 10**8
-
-
-class WorkLimitExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured work limit."""
-
-
-def _check_n(n: int) -> int:
-    # numpy integers pass; bools and floats such as 3.0 do not
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return int(n)
+# the largest n with 256n**4 <= 2**63 - 1, which keeps every int64 term in range
+_MAX_N = math.isqrt(math.isqrt((2**63 - 1) // 256))
 
 
 def midpoint_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +82,7 @@ def midpoint_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
     the side and odd along it.  Raises ValueError unless n is an integer
     >= 1 (bools are rejected).
     """
-    n = _check_n(n)
+    n = _check_integer(n, "n", 1)
     odd = np.arange(1, 2 * n, 2, dtype=np.int64)[:, None]
     anchor, step = _CORNERS.astype(np.int64), _STEPS.astype(np.int64)
     points = 2 * n * anchor[:, None, :] + odd * step[:, None, :]  # (side, j, xy)
@@ -106,28 +94,21 @@ def enumerate_mean_area(n: int) -> Fraction:
 
     Sums W_b x P_b over the 4n points in walk order (see the module
     docstring), six times that being the total |cross product| of all
-    (4n)**3 ordered triples.  The coordinates are at most 2n, so the
-    running sums over a <= b of P_a and of a * P_a stay below 8n**2 and
-    16n**3 per coordinate, each coordinate of W_b below
-    4n * 8n**2 + 2 * 16n**3 = 64n**3, and each term below 256n**4:
-    1.0e16 at n = 2500, against the int64 limit of 9.2e18.  The terms are
-    added as Python ints, as that bound does not keep their sum inside
-    int64 (4n * 256n**4 = 1.0e20 at n = 2500).  The result is
-    5/32 - 1/(16 n**2), as the module docstring shows.
+    (4n)**3 ordered triples.  The result is 5/32 - 1/(16 n**2), as the
+    module docstring shows.
 
-    Raises WorkLimitExceededError, before building anything, when the
-    (4n)**2 ordered (second, third) vertex pairs of one first vertex
-    exceed DEFAULT_WORK_LIMIT (so n <= 2500, which also keeps every term
-    far inside int64), and ValueError unless n is an integer >= 1 (bools
-    are rejected).
+    The terms are int64, and that alone limits n.  The coordinates are at
+    most 2n, so the running sums over a <= b of P_a and of a * P_a stay
+    below 8n**2 and 16n**3 per coordinate, each coordinate of W_b below
+    4n * 8n**2 + 2 * 16n**3 = 64n**3, and each term below 256n**4.  That
+    is at most 2**63 - 1 exactly when n <= 13,777 (``_MAX_N``).  The terms
+    are added as Python ints, as the bound does not keep their sum inside
+    int64 (4n * 256n**4 = 5.1e23 at n = 13,777).
+
+    Raises ValueError, before building anything, unless n is an integer
+    in 1..13,777 (bools are rejected).
     """
-    n = _check_n(n)
-    pairs = (4 * n) ** 2
-    if pairs > DEFAULT_WORK_LIMIT:
-        raise WorkLimitExceededError(
-            f"(4*{n})**2 = {pairs:,} vertex pairs per first vertex exceeds "
-            f"the limit {DEFAULT_WORK_LIMIT:,}"
-        )
+    n = _check_integer(n, "n", 1, _MAX_N)
     points = np.stack(midpoint_lattice(n), axis=1)  # (4n, xy), walk order
     b = np.arange(4 * n, dtype=np.int64)[:, None]
     # the running sums take in a = b too, harmless as P_b x P_b = 0

@@ -43,7 +43,8 @@ from typing import Union
 import numpy as np
 
 from .frame import frame_xy
-from .geometry import CubeDomain, RectDomain, signed_area_xy, signed_volume_xyz
+from .geometry import (CubeDomain, RectDomain, _check_integer, signed_area_xy,
+                       signed_volume_xyz)
 
 __all__ = [
     "CubeTetrahedron",
@@ -106,13 +107,6 @@ class EstimateResult:
     n: int
     seed: int
     chunks: int
-
-
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
 
 
 def _substream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -199,17 +193,16 @@ def estimate(
     Work is split into ``chunks`` independent substreams; the first
     n mod chunks of them take one extra sample.  The worker pool holds
     ``pool_size(threads, chunks)`` threads; its size has no effect on any
-    returned field.
+    returned field.  n, chunks, seed and threads must be integers (numpy
+    integers pass, bools do not) with n >= 2, 1 <= chunks <= n,
+    0 <= seed < 2**64 and, when given, threads >= 1; anything else raises
+    ValueError.
     """
-    n = int(n)
-    chunks = int(chunks)
-    seed = _check_seed(seed)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= chunks <= n:
-        raise ValueError(f"need 1 <= chunks <= n, got chunks={chunks}, n={n}")
-    if threads is not None and threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
+    n = _check_integer(n, "n", 2)
+    chunks = _check_integer(chunks, "chunks", 1, n)
+    seed = _check_integer(seed, "seed", 0, 2**64 - 1)
+    if threads is not None:
+        threads = _check_integer(threads, "threads", 1)
     if not isinstance(problem, Problem):
         raise TypeError(f"unknown problem kind: {problem!r}")
 

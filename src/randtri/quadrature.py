@@ -81,6 +81,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import _check_integer
 from .regions import (
     Env,
     Integrand,
@@ -153,7 +154,8 @@ class QuadConfig:
     """Tolerance and effort controls for one nested quadrature run.
 
     rel_tol is the target relative error of the full multiple integral;
-    max_depth caps adaptive bisection per level.
+    max_depth, an integer >= 1 (numpy integers pass, bools do not), caps
+    adaptive bisection per level.
     """
 
     rel_tol: float = 1e-4
@@ -162,8 +164,7 @@ class QuadConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        _check_integer(self.max_depth, "max_depth", 1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import RectDomain
+from .geometry import RectDomain, _check_integer
 
 __all__ = [
     "AffineBound",
@@ -345,8 +345,7 @@ def sample_in_region(
     draws.  That chained law is not uniform over the cell, which does not
     matter for membership and sign checks; it covers the full cell.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _check_integer(n, "n", 1)
     env: dict[str, np.ndarray] = {}
     for name, lo_fn, hi_fn in region.vars:
         lo = np.broadcast_to(np.asarray(lo_fn(env), dtype=float), (n,))

@@ -208,18 +208,19 @@ class TestLattice:
         assert row["points"] == 40 and row["triples"] == 64000
 
     def test_largest_permitted_n_obeys_the_law(self):
-        # the work limit's size, which reaches the int64 block bound
-        n = 2500
+        n = 13_777
         (row,) = run_json(["lattice", "--n", str(n)])["results"]
         assert Fraction(row["mean"]) == Fraction(5 * n * n - 2, 32 * n * n)
 
     def test_zero_subdivisions_is_usage_error(self):
         assert run_cli(["lattice", "--n", "0"])[0] == 2
 
-    def test_oversized_run_is_resource_error(self):
-        code, _, err = run_cli(["lattice", "--n", "2501"])
-        assert code == 3
-        assert "work" in err.lower() or "limit" in err.lower()
+    @pytest.mark.parametrize("n", ["13778", "100000000000"])
+    def test_oversized_run_is_usage_error(self, n):
+        code, out, err = run_cli(["lattice", "--n", n])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "13777" in err and "Traceback" not in err
 
 
 class TestOutputModes:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from randtri.geometry import (
     CubeDomain,
     RectDomain,
+    _check_integer,
     signed_area_xy,
     signed_volume_xyz,
 )
@@ -111,6 +112,24 @@ class TestValidation:
     def test_cube_rejects_nonpositive_side(self):
         with pytest.raises(ValueError):
             CubeDomain(0.0)
+
+    @pytest.mark.parametrize("value", [3, np.int8(3), np.int64(3), np.uint64(3)])
+    def test_integer_check_returns_a_python_int(self, value):
+        got = _check_integer(value, "k", 1, 4)
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, 3.0, 2.5, np.float64(3), "3", None, 0, 5],
+        ids=["True", "False", "np.True_", "3.0", "2.5", "np.float64", "str", "None",
+             "below", "above"])
+    def test_integer_check_rejects(self, value):
+        with pytest.raises(ValueError, match="k"):
+            _check_integer(value, "k", 1, 4)
+
+    def test_integer_check_without_upper_end(self):
+        assert _check_integer(2**70, "k", 1) == 2**70
+        with pytest.raises(ValueError, match="k >= 1"):
+            _check_integer(0, "k", 1)
 
 
 class TestInvariants:

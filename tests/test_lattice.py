@@ -9,12 +9,7 @@ import pytest
 
 from randtri import lattice
 from randtri.frame import frame_xy
-from randtri.lattice import (
-    DEFAULT_WORK_LIMIT,
-    WorkLimitExceededError,
-    enumerate_mean_area,
-    midpoint_lattice,
-)
+from randtri.lattice import enumerate_mean_area, midpoint_lattice
 
 
 def _cubic_totals(n):
@@ -128,7 +123,7 @@ class TestLatticeConstruction:
     def test_numpy_integers_pass(self):
         for xs, ref in zip(midpoint_lattice(np.int32(3)), midpoint_lattice(3)):
             assert xs.tolist() == ref.tolist()
-        # the largest permitted n, whose denominator overflows int64
+        # a denominator that overflows int64 unless n is a Python int
         n = np.int64(2500)
         assert enumerate_mean_area(n) == Fraction(5, 32) - Fraction(1, 16 * 2500**2)
 
@@ -205,23 +200,17 @@ class TestEnumeration:
             # (4n)^3 ordered triples, each area a multiple of 1/(2*(2n)^2)
             assert ((4 * n) ** 3 * 2 * (2 * n) ** 2) % mean.denominator == 0
 
-    def test_work_limit_guards_large_runs(self, monkeypatch):
-        with pytest.raises(WorkLimitExceededError, match="vertex pairs"):
-            enumerate_mean_area(2501)
-        # the limit is inclusive: exactly (4n)**2 vertex pairs still run
-        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", 64)
-        assert enumerate_mean_area(2) == FROZEN[2]
-        monkeypatch.setattr(lattice, "DEFAULT_WORK_LIMIT", 63)
-        with pytest.raises(WorkLimitExceededError):
-            enumerate_mean_area(2)
+    def test_largest_n_obeys_the_law(self):
+        # every int64 term stays below 256n**4 <= 2**63 - 1 up to here
+        n = 13_777
+        assert 256 * n**4 <= 2**63 - 1 < 256 * (n + 1) ** 4
+        assert enumerate_mean_area(n) == Fraction(5, 32) - Fraction(1, 16 * n * n)
 
     def test_oversized_run_is_rejected_before_building_the_lattice(self, monkeypatch):
         def unexpected(n):
             raise AssertionError("the lattice was built for an oversized run")
 
         monkeypatch.setattr(lattice, "midpoint_lattice", unexpected)
-        with pytest.raises(WorkLimitExceededError):
-            enumerate_mean_area(10**6)
-
-    def test_default_limit_allows_the_reference_size(self):
-        assert 16 * 10**2 <= DEFAULT_WORK_LIMIT
+        for n in (13_778, 10**6):
+            with pytest.raises(ValueError, match="13777"):
+                enumerate_mean_area(n)

@@ -7,6 +7,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randtri import montecarlo
@@ -291,6 +292,25 @@ class TestValidation:
     def test_rejects_bad_threads(self):
         with pytest.raises(ValueError):
             estimate(PROBLEMS["interior"], 100, chunks=4, threads=0)
+
+    @pytest.mark.parametrize("name,bad", [
+        ("n", 10_000.6), ("n", 100.0), ("n", True),
+        ("seed", 7.9), ("seed", 7.0), ("seed", True),
+        ("chunks", 4.5), ("chunks", True),
+        ("threads", 1.5), ("threads", True),
+    ])
+    def test_rejects_non_integer_arguments(self, name, bad):
+        # a float was truncated (seed=7.9 ran seed 7) and a bool taken as 0 or 1
+        kwargs = {"n": 100, "seed": 7, "chunks": 4, "threads": 1, name: bad}
+        with pytest.raises(ValueError, match=name):
+            estimate(PROBLEMS["interior"], kwargs.pop("n"), **kwargs)
+
+    def test_numpy_integers_give_the_same_bytes(self):
+        ref = estimate(PROBLEMS["frame"], 10_000, seed=12345, chunks=8, threads=2)
+        got = estimate(PROBLEMS["frame"], np.int64(10_000), seed=np.uint64(12345),
+                       chunks=np.int32(8), threads=np.int8(2))
+        # repr spells each float to the bit and a numpy integer by its type
+        assert repr(got) == repr(ref)
 
     def test_rejects_unknown_problem(self):
         with pytest.raises(TypeError):

@@ -391,6 +391,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_depth"):
             QuadConfig(max_depth=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "12"])
+    def test_rejects_non_integer_depth(self, bad):
+        with pytest.raises(ValueError, match="max_depth"):
+            QuadConfig(max_depth=bad)
+
+    def test_numpy_integer_depth_passes(self):
+        assert QuadConfig(max_depth=np.int64(3)).max_depth == 3
+
 
 class TestNested:
     def test_unit_box_volume(self):

@@ -167,6 +167,19 @@ class TestSampling:
         with pytest.raises(ValueError, match="n >= 1"):
             sample_in_region(cell, 0, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 3.0, np.float64(3)],
+                             ids=["True", "2.5", "3.0", "np.float64"])
+    def test_rejects_non_integer_count(self, bad):
+        # not a TypeError from deep inside numpy
+        cell = rectangle_regions(1.0, 1.0)[0]
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_in_region(cell, bad, np.random.default_rng(1))
+
+    def test_numpy_integer_count_draws_the_same_points(self):
+        cell = rectangle_regions(1.0, 1.0)[0]
+        got = sample_in_region(cell, np.int64(5), np.random.default_rng(1))
+        assert got.tobytes() == sample_in_region(cell, 5, np.random.default_rng(1)).tobytes()
+
 
 class TestExactReference:
     def test_unit_square_cells(self):
