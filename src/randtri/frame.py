@@ -43,12 +43,10 @@ of the per-case sums by 16 yields the mean, 5/32.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .geometry import _check_integer, signed_area_xy
-from .quadrature import _GAUSS2, QuadConfig
+from .geometry import _check_integer, _check_real, signed_area_xy
+from .quadrature import _GAUSS2, QuadConfig, _ordered_sum
 # unused here, but perfbench/tracer.py patches frame.adaptive_quad_batch (ROADMAP F2)
 from .quadrature import adaptive_quad_batch  # noqa: F401
 
@@ -161,16 +159,6 @@ def _kink(a0: float, slope: float) -> float | None:
     return None
 
 
-def _check_x1(x1: float) -> float:
-    # numpy floats and integers pass; bools, strings and arrays do not
-    if isinstance(x1, bool) or not isinstance(x1, numbers.Real):
-        raise ValueError(f"x1 must be a real number, got {x1!r}")
-    x1 = float(x1)
-    if not 0.0 <= x1 <= 1.0:
-        raise ValueError(f"x1 must be in [0, 1], got {x1}")
-    return x1
-
-
 def _side_sweep(case: int, x1: float, quarter_turns: int = 0) -> list[float]:
     """Integrals over the second vertex's coordinate u in [0, 1], per piece.
 
@@ -181,8 +169,8 @@ def _side_sweep(case: int, x1: float, quarter_turns: int = 0) -> list[float]:
     (QUADPACK QAGP's breakpoints): 1 + (number of kinks) pieces.  Between
     kinks it is a polynomial of degree at most 2, so ``_GAUSS_LEGENDRE_2``
     integrates each piece exactly.  Sums run in plain ``+=`` order, corner
-    by corner and node by node, never through ``sum()``, which rounds
-    differently from Python 3.12 on.  Returns the piece integrals in order
+    by corner and node by node, never through ``sum()`` (see
+    ``quadrature._ordered_sum``).  Returns the piece integrals in order
     of u.
     """
     nodes, weights = _GAUSS_LEGENDRE_2
@@ -206,10 +194,7 @@ def _side_sweep(case: int, x1: float, quarter_turns: int = 0) -> list[float]:
 
 def _side_value(case: int, x1: float, quarter_turns: int = 0) -> float:
     """One side case's double path integral: its sweep's pieces, summed in order."""
-    total = 0.0
-    for piece in _side_sweep(case, x1, quarter_turns):
-        total += piece
-    return total
+    return _ordered_sum(_side_sweep(case, x1, quarter_turns))
 
 
 def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> float:
@@ -223,7 +208,10 @@ def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> flo
     numpy scalars pass.  ``cfg`` is accepted and ignored: the fixed rule
     is exact up to rounding at every tolerance.
     """
-    return _side_value(_check_integer(case, "case", 1, 4), _check_x1(x1))
+    x1 = _check_real(x1, "x1")
+    if not 0.0 <= x1 <= 1.0:
+        raise ValueError(f"x1 must be in [0, 1], got {x1}")
+    return _side_value(_check_integer(case, "case", 1, 4), x1)
 
 
 def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> float:
@@ -240,9 +228,6 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
     quarter_turns = _check_integer(p1_side, "p1_side", 1, 4) - 1
     total = 0.0
     for x1, weight in zip(*_GAUSS_LEGENDRE_2):
-        sides = 0.0
-        for case in (1, 2, 3, 4):
-            sides += _side_value(case, x1, quarter_turns)
-        total += weight * sides
+        total += weight * _ordered_sum(_side_value(c, x1, quarter_turns) for c in (1, 2, 3, 4))
     # second vertex: 4 unit sides; third vertex: perimeter length 4
     return total / 16.0

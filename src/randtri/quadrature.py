@@ -77,11 +77,13 @@ when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
-from .geometry import _check_integer
+from .geometry import _check_integer, _check_real
 from .regions import (
     Env,
     Integrand,
@@ -153,15 +155,18 @@ class DegenerateRegionError(ValueError):
 class QuadConfig:
     """Tolerance and effort controls for one nested quadrature run.
 
-    rel_tol is the target relative error of the full multiple integral;
-    max_depth, an integer >= 1 (numpy integers pass, bools do not), caps
-    adaptive bisection per level.
+    rel_tol, a real number in (0, 1) stored as a float, is the target
+    relative error of the full multiple integral; max_depth, an integer
+    >= 1 (numpy integers pass, bools do not), caps adaptive bisection per
+    level.  Both pass the shared checks of ``geometry``.
     """
 
     rel_tol: float = 1e-4
     max_depth: int = 12
 
     def __post_init__(self) -> None:
+        # frozen: store the checked float through object.__setattr__
+        object.__setattr__(self, "rel_tol", _check_real(self.rel_tol, "rel_tol"))
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         _check_integer(self.max_depth, "max_depth", 1)
@@ -500,6 +505,16 @@ def _result(
     )
 
 
+def _ordered_sum(values) -> float:
+    """Floats added left to right from 0.0, as a ``+=`` loop adds them.
+
+    ``sum()`` compensates float rounding from Python 3.12 on, so its bits
+    depend on the Python version; float totals that the tests pin to the
+    bit are added here instead.
+    """
+    return reduce(add, values, 0.0)
+
+
 def interior_catalog(
     a: float, b: float, cfg: QuadConfig = QuadConfig()
 ) -> dict[str, RegionResult]:
@@ -520,8 +535,8 @@ def interior_catalog(
         cells = [rows[f"{total[0]}{k}"] for k in range(1, 6)]
         rows[total] = _result(
             total,
-            sum(r.value for r in cells),
-            sum(r.est_error for r in cells),
+            _ordered_sum(r.value for r in cells),
+            _ordered_sum(r.est_error for r in cells),
             sum(r.evaluations for r in cells),
             cfg.rel_tol,
         )

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Union
 
 import numpy as np
@@ -261,7 +262,7 @@ def rectangle_regions(a: float, b: float) -> list[RegionSpec]:
     Their signed sum over a rectangle a x b is 11*(a*b)**4/1728; dividing
     by the matching normalizer sum gives the mean area 11*a*b/144.
     """
-    return _ascending_cells(RectDomain(float(a), float(b)), Integrand.SIGNED_AREA, "I")
+    return _ascending_cells(RectDomain(a, b), Integrand.SIGNED_AREA, "I")
 
 
 def normalizer_regions(a: float, b: float) -> list[RegionSpec]:
@@ -270,7 +271,7 @@ def normalizer_regions(a: float, b: float) -> list[RegionSpec]:
     Each evaluates to the (positive) measure of its cell; the five sum to
     (a*b)**3/12, half the ordered-configuration volume.
     """
-    return _ascending_cells(RectDomain(float(a), float(b)), Integrand.ONE, "J")
+    return _ascending_cells(RectDomain(a, b), Integrand.ONE, "J")
 
 
 def region_catalog(a: float, b: float) -> dict[str, RegionSpec]:
@@ -281,7 +282,7 @@ def region_catalog(a: float, b: float) -> dict[str, RegionSpec]:
     of ``MIRROR`` are genuine cross-checks.
     The I cells sum to 11*(a*b)**4/864 and the J cells to (a*b)**3/6.
     """
-    domain = RectDomain(float(a), float(b))
+    domain = RectDomain(a, b)
     return {
         cell.name: cell
         for integrand, prefix in ((Integrand.SIGNED_AREA, "I"), (Integrand.ONE, "J"))
@@ -323,9 +324,13 @@ def exact_reference(name: str, a=1, b=1) -> Fraction:
     """Exact value of a catalog quantity over an a x b domain.
 
     Known names: the cells I1..I10 and J1..J10, the sums I15 (ascending
-    five), II (all ten), J15, JJ, and the mean RESULT = 11ab/144.  Floats
-    are taken at their exact binary value, so powers of two stay exact.
+    five), II (all ten), J15, JJ, and the mean RESULT = 11ab/144.  The
+    sides are checked as ``RectDomain`` checks them, then taken exactly:
+    integers and Fractions as given, any other real number (a float, a
+    numpy float) at the exact binary value of its float.
     """
+    RectDomain(a, b)  # raises ValueError for a bad side
+    a, b = (side if isinstance(side, Rational) else float(side) for side in (a, b))
     ab = Fraction(a) * Fraction(b)
     if name in _AREA_CELLS:
         return _AREA_CELLS[name] * ab**4

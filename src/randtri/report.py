@@ -29,7 +29,7 @@ from .montecarlo import (
     estimate,
     pool_size,
 )
-from .quadrature import QuadConfig, interior_catalog, nested_quadrature
+from .quadrature import QuadConfig, _ordered_sum, interior_catalog, nested_quadrature
 from .regions import MIRROR, Integrand, exact_reference, region_catalog, sample_in_region
 
 __all__ = ["CRITERIA", "run_criterion", "run_report"]
@@ -92,8 +92,8 @@ def _square_decomposition() -> Verdict:
         name: ascending.get(name) or nested_quadrature(region, _CFG)
         for name, region in region_catalog(1, 1).items()
     }
-    big_i = sum(cells[f"I{k}"].value for k in range(1, 11))
-    big_j = sum(cells[f"J{k}"].value for k in range(1, 11))
+    big_i = _ordered_sum(cells[f"I{k}"].value for k in range(1, 11))
+    big_j = _ordered_sum(cells[f"J{k}"].value for k in range(1, 11))
     worst = max(
         _rel(big_i, exact_reference("II")),
         _rel(big_j, exact_reference("JJ")),

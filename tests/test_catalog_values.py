@@ -20,6 +20,13 @@ from randtri.regions import (
 
 CFG = QuadConfig()
 
+# interior_catalog(1.3, 0.8, QuadConfig(rel_tol=1e-4)): (value, est_error)
+SUMS_FROZEN = {
+    "I15": ("0x1.e80c337203e0fp-8", "0x1.52e1926ff682ep-27"),
+    "J15": ("0x1.7ff41dbb437f5p-4", "0x1.4196b75d50499p-28"),
+    "RESULT": ("0x1.456789abcdf07p-4", "0x1.d4ee355c3a1acp-24"),
+}
+
 
 def by_name(regions):
     return {r.name: nested_quadrature(r, CFG) for r in regions}
@@ -153,12 +160,25 @@ class TestGeneralDomains:
             assert abs(res.value - truth) <= res.est_error, name
         for total in ("I15", "J15"):
             parts = [rows[f"{total[0]}{k}"] for k in range(1, 6)]
-            assert rows[total].value == sum(r.value for r in parts)
-            assert rows[total].est_error == sum(r.est_error for r in parts)
+            # plain += order: sum() rounds floats differently from Python 3.12 on
+            value = est_error = 0.0
+            for r in parts:
+                value += r.value
+                est_error += r.est_error
+            assert rows[total].value == value
+            assert rows[total].est_error == est_error
             assert rows[total].evaluations == sum(r.evaluations for r in parts)
         i15, j15, result = rows["I15"], rows["J15"], rows["RESULT"]
         assert result.value == i15.value / j15.value
         assert result.evaluations == i15.evaluations + j15.evaluations
+
+    def test_sums_are_pinned_to_the_bit(self):
+        # captured on Python 3.11; the sums run in += order, so Python
+        # 3.12's compensated sum() must not move them
+        rows = interior_catalog(1.3, 0.8, QuadConfig(rel_tol=1e-4))
+        got = {name: (rows[name].value.hex(), rows[name].est_error.hex())
+               for name in SUMS_FROZEN}
+        assert got == SUMS_FROZEN
 
     def test_single_cell_spot_values(self):
         res = nested_quadrature(rectangle_regions(1.0, 1.0)[4], CFG)
