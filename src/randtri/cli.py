@@ -11,7 +11,8 @@ Machine consumers get it as one newline-delimited JSON record on a pipe;
 humans get an aligned table on a TTY.
 
 Exit codes: 0 success, 1 accuracy or acceptance failure, 2 usage error
-(a failed ``--out`` write included).
+(a failed ``--out`` write included, and a ``quad`` rectangle that breaks
+the domain rule of ``regions``).
 """
 
 from __future__ import annotations
@@ -99,29 +100,13 @@ def _quad_row(res: RegionResult, a: float, b: float) -> dict:
     }
 
 
-def _check_references(names: list[str], a: float, b: float) -> None:
-    """Reject a domain on which an exact reference rounds to 0 or overflows."""
-    for name in names:
-        try:
-            value = float(exact_reference(name, a, b))
-        except OverflowError:
-            value = math.inf
-        if value == 0.0 or math.isinf(value):
-            raise ValueError(
-                f"domain a={a}, b={b}: the exact {name} does not fit a binary64 float"
-            )
-
-
 def _cmd_quad(args: argparse.Namespace) -> tuple[list, int]:
-    cells = region_catalog(args.a, args.b)  # rejects a bad domain before any work
-    cfg = QuadConfig(rel_tol=args.rel_tol, max_depth=args.max_depth)
+    # the domain rule of ``regions`` rejects a bad domain before any work
+    cells = region_catalog(args.a, args.b)
+    cfg = QuadConfig(rel_tol=args.rel_tol)
     summed = args.region == "all"
     if not summed and args.region not in cells:
         raise UnknownNameError(f"unknown region {args.region!r}")
-    # each mirror cell shares its partner's reference, so checking all
-    # twenty cells rejects no domain that the ten printed cells accept
-    names = [*cells, "I15", "J15", "RESULT"] if summed else [args.region]
-    _check_references(names, args.a, args.b)
     if summed:
         results = interior_catalog(args.a, args.b, cfg).values()
     else:
@@ -220,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "their sums I15, J15 and mean RESULT",
     )
     quad.add_argument("--rel-tol", type=float, default=1e-4)
-    quad.add_argument("--max-depth", type=int, default=12)
     quad.set_defaults(func=_cmd_quad)
 
     mc = sub.add_parser("mc", help="seeded Monte Carlo estimation")

@@ -97,13 +97,6 @@ def frame_xy(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _ANCHOR_X[k] + _STEP_X[k] * u, _ANCHOR_Y[k] + _STEP_Y[k] * u
 
 
-def _rotate(x, y, quarter_turns: int):
-    """Rotate points a quarter turn at a time about the square's center."""
-    for _ in range(quarter_turns % 4):
-        x, y = 1.0 - y, x
-    return x, y
-
-
 def _abs_affine_integral(c0: float, c1: float) -> float:
     """Exact integral of |c0 + c1 v| over v in [0, 1].
 
@@ -117,32 +110,33 @@ def _abs_affine_integral(c0: float, c1: float) -> float:
     return abs(head) + abs(total - head)
 
 
-def _corner_areas(case: int, x1, u, quarter_turns: int = 0) -> list:
+def _corner_areas(case: int, x1, u, side: int = 0) -> list:
     """Signed areas with the third vertex at each of the four corners.
 
-    First vertex (x1, 0), second on side ``case`` at coordinate u.  The
-    area is affine along a side, so side k's path integral of |area| is
-    fixed by the areas at corners k and k + 1.  ``quarter_turns`` rotates
-    the whole configuration, which must not change any area.  Returns one
-    area per corner, in perimeter order; x1 and u may be floats or arrays.
+    First vertex on side ``side`` (0-based, the bottom by default) at
+    coordinate x1, second on the side ``case - 1`` sides further along at
+    coordinate u: the perimeter table read from corner ``side`` on.  Each
+    such configuration is the bottom one turned about the square's center,
+    so its areas must match.  The area is affine along a side, so side k's
+    path integral of |area| is fixed by the areas at corners k and k + 1.
+    Returns one area per corner, in perimeter order from corner ``side``;
+    x1 and u may be floats or arrays.
     """
-    (ax, ay), (dx, dy) = _CORNER_FLOATS[case - 1], _STEP_FLOATS[case - 1]
-    p1x, p1y = _rotate(x1, 0.0, quarter_turns)
-    p2x, p2y = _rotate(ax + dx * u, ay + dy * u, quarter_turns)
-    return [
-        signed_area_xy(p1x, p1y, p2x, p2y, *_rotate(cx, cy, quarter_turns))
-        for cx, cy in _CORNER_FLOATS
-    ]
+    corners = _CORNER_FLOATS[side:] + _CORNER_FLOATS[:side]
+    steps = _STEP_FLOATS[side:] + _STEP_FLOATS[:side]
+    (ox, oy), (ex, ey) = corners[0], steps[0]
+    (ax, ay), (dx, dy) = corners[case - 1], steps[case - 1]
+    p1x, p1y, p2x, p2y = ox + ex * x1, oy + ey * x1, ax + dx * u, ay + dy * u
+    return [signed_area_xy(p1x, p1y, p2x, p2y, cx, cy) for cx, cy in corners]
 
 
-def _area_lines(case: int, x1: float, quarter_turns: int = 0) -> list:
+def _area_lines(case: int, x1: float, side: int = 0) -> list:
     """Each corner area of ``_corner_areas`` as (a0, slope): a0 + slope * u.
 
     For fixed x1 the area is affine in u, so its values at u = 0 and
     u = 1 fix it.
     """
-    ends = zip(_corner_areas(case, x1, 0.0, quarter_turns),
-               _corner_areas(case, x1, 1.0, quarter_turns))
+    ends = zip(_corner_areas(case, x1, 0.0, side), _corner_areas(case, x1, 1.0, side))
     return [(a0, a1 - a0) for a0, a1 in ends]
 
 
@@ -159,7 +153,7 @@ def _kink(a0: float, slope: float) -> float | None:
     return None
 
 
-def _side_sweep(case: int, x1: float, quarter_turns: int = 0) -> list[float]:
+def _side_sweep(case: int, x1: float, side: int = 0) -> list[float]:
     """Integrals over the second vertex's coordinate u in [0, 1], per piece.
 
     The integrand sums, over the third vertex's four sides, the
@@ -174,7 +168,7 @@ def _side_sweep(case: int, x1: float, quarter_turns: int = 0) -> list[float]:
     of u.
     """
     nodes, weights = _GAUSS_LEGENDRE_2
-    lines = _area_lines(case, x1, quarter_turns)
+    lines = _area_lines(case, x1, side)
     kinks = {_kink(a0, slope) for a0, slope in lines} - {None}
     edges = [0.0, *sorted(kinks), 1.0]
     pieces = []
@@ -192,9 +186,9 @@ def _side_sweep(case: int, x1: float, quarter_turns: int = 0) -> list[float]:
     return pieces
 
 
-def _side_value(case: int, x1: float, quarter_turns: int = 0) -> float:
+def _side_value(case: int, x1: float, side: int = 0) -> float:
     """One side case's double path integral: its sweep's pieces, summed in order."""
-    return _ordered_sum(_side_sweep(case, x1, quarter_turns))
+    return _ordered_sum(_side_sweep(case, x1, side))
 
 
 def side_case_value(case: int, x1: float, cfg: QuadConfig = QuadConfig()) -> float:
@@ -219,15 +213,16 @@ def expected_area_frame(cfg: QuadConfig = QuadConfig(), p1_side: int = 1) -> flo
 
     The 2-node rule over x1 of the four side cases' summed values.
     ``p1_side`` pins the first vertex to another side instead of the
-    bottom; the answer must not depend on it (checked by rotating every
-    configuration, which preserves areas exactly up to rounding).  ``cfg``
+    bottom; the answer must not depend on it (checked by reading the
+    perimeter table from that side on, which turns every configuration
+    about the square's center and keeps its areas up to rounding).  ``cfg``
     is accepted and ignored: the x1 integrand is the quadratic sum of
     SIDE_CASE_FORMS, which the 2-node rule integrates exactly, so the mean
     is 5/32 up to rounding at every tolerance.
     """
-    quarter_turns = _check_integer(p1_side, "p1_side", 1, 4) - 1
+    side = _check_integer(p1_side, "p1_side", 1, 4) - 1
     total = 0.0
     for x1, weight in zip(*_GAUSS_LEGENDRE_2):
-        total += weight * _ordered_sum(_side_value(c, x1, quarter_turns) for c in (1, 2, 3, 4))
+        total += weight * _ordered_sum(_side_value(c, x1, side) for c in (1, 2, 3, 4))
     # second vertex: 4 unit sides; third vertex: perimeter length 4
     return total / 16.0

@@ -30,14 +30,17 @@ def _check_real(value: float, name: str) -> float:
 
     Every route checks its real-number inputs here.  numpy scalars and
     Fractions pass; bools and anything that is not a ``numbers.Real``
-    (strings, None, complex numbers, arrays) raise ValueError, as do NaN
-    and the infinities.
+    (strings, None, complex numbers, arrays) raise ValueError, as do NaN,
+    the infinities, and an int or Fraction beyond the float range.
     """
     # a plain float skips the numbers.Real test, which costs about 0.3 us
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

@@ -83,7 +83,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import _check_integer, _check_real
+from .geometry import _check_real
 from .regions import (
     Env,
     Integrand,
@@ -146,6 +146,13 @@ _ABS_FLOOR = 1e-13
 
 _GAUSS2 = 0.5773502691896258  # 1/sqrt(3)
 
+# Bisections per panel that nested_quadrature allows on each level.  It is
+# a safeguard, not a setting: lowering it to 7 changes no bit of the
+# catalog runs the tests check, and the domain rule of ``regions`` keeps
+# out the extreme rectangles that once ran without end.  Read at call
+# time, so a test can lower it.
+_MAX_DEPTH = 12
+
 
 class DegenerateRegionError(ValueError):
     """The outermost integration interval of a region is empty."""
@@ -153,23 +160,20 @@ class DegenerateRegionError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class QuadConfig:
-    """Tolerance and effort controls for one nested quadrature run.
+    """The tolerance of one nested quadrature run.
 
-    rel_tol, a real number in (0, 1) stored as a float, is the target
-    relative error of the full multiple integral; max_depth, an integer
-    >= 1 (numpy integers pass, bools do not), caps adaptive bisection per
-    level.  Both pass the shared checks of ``geometry``.
+    rel_tol, a real number in (0, 1) that passes the shared check of
+    ``geometry`` and is stored as a float, is the target relative error of
+    the full multiple integral.
     """
 
     rel_tol: float = 1e-4
-    max_depth: int = 12
 
     def __post_init__(self) -> None:
         # frozen: store the checked float through object.__setattr__
         object.__setattr__(self, "rel_tol", _check_real(self.rel_tol, "rel_tol"))
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        _check_integer(self.max_depth, "max_depth", 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -430,7 +434,8 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     ``_log_scale`` give the maps.  A map's Jacobian scales the integrand
     values and the error carried up from the level below (the closed-form
     kernel carries none).  The smallest run makes one panel per level,
-    7 * 7 * 15 * 15 = 11,025 kernel evaluations.
+    7 * 7 * 15 * 15 = 11,025 kernel evaluations, and bisection stops at
+    ``_MAX_DEPTH`` on each level.
     ``est_error`` is a (possibly loose) bound combining the outer Kronrod
     estimates with the error budgets propagated from inner levels.
     ``converged`` is exactly
@@ -481,7 +486,7 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
             return _analytic_kernel(region, child) * jacobian, None
 
         return adaptive_quad_batch(
-            f, lo, hi, rel_tol=budgets[k], max_depth=cfg.max_depth, rule=rule
+            f, lo, hi, rel_tol=budgets[k], max_depth=_MAX_DEPTH, rule=rule
         )
 
     values, errors = recurse(0, {})

@@ -21,6 +21,11 @@ rather than assumed.  The mean area is the signed sum of the area
 integrals over the cells divided by the unit-integrand sum (the measure
 of the ordered half, one sixth of the full configuration volume).
 
+One domain rule, ``_checked_sides``, bounds every rectangle the cells are
+built on, and so every quadrature run: ``region_catalog``,
+``rectangle_regions`` and ``normalizer_regions`` all apply it, and a
+domain that breaks it raises ValueError before any cell is built.
+
 Bounds are callables of the already-bound outer variables, vectorized
 over numpy arrays.  The innermost (y3) bounds must be AffineBound, affine
 in x3 with explicit coefficient functions, which lets the quadrature
@@ -31,6 +36,8 @@ in it.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -153,10 +160,9 @@ def _per_env(key: str) -> Callable[[BoundFn], BoundFn]:
 
 
 def _ascending_cells(
-    domain: RectDomain, integrand: Integrand, prefix: str
+    a: float, b: float, integrand: Integrand, prefix: str
 ) -> list[RegionSpec]:
     """The five cells with y2 > y1 (chord rising left to right)."""
-    a, b = domain.a, domain.b
 
     def corner_height(env: Env):
         # the line from p1 to the corner (a, b), evaluated at x2; above it
@@ -193,7 +199,7 @@ def _ascending_cells(
 
 
 def _descending_cells(
-    domain: RectDomain, integrand: Integrand, prefix: str
+    a: float, b: float, integrand: Integrand, prefix: str
 ) -> list[RegionSpec]:
     """The five cells with y2 < y1, numbered 6..10.
 
@@ -201,7 +207,6 @@ def _descending_cells(
     cells as ``MIRROR`` lists (the mirror flips the sign of the area, so
     above/below roles swap).
     """
-    a, b = domain.a, domain.b
 
     def corner_height(env: Env):
         # the line from p1 to the corner (a, 0); above it the chord exits
@@ -262,7 +267,7 @@ def rectangle_regions(a: float, b: float) -> list[RegionSpec]:
     Their signed sum over a rectangle a x b is 11*(a*b)**4/1728; dividing
     by the matching normalizer sum gives the mean area 11*a*b/144.
     """
-    return _ascending_cells(RectDomain(a, b), Integrand.SIGNED_AREA, "I")
+    return _ascending_cells(*_checked_sides(a, b), Integrand.SIGNED_AREA, "I")
 
 
 def normalizer_regions(a: float, b: float) -> list[RegionSpec]:
@@ -271,7 +276,7 @@ def normalizer_regions(a: float, b: float) -> list[RegionSpec]:
     Each evaluates to the (positive) measure of its cell; the five sum to
     (a*b)**3/12, half the ordered-configuration volume.
     """
-    return _ascending_cells(RectDomain(a, b), Integrand.ONE, "J")
+    return _ascending_cells(*_checked_sides(a, b), Integrand.ONE, "J")
 
 
 def region_catalog(a: float, b: float) -> dict[str, RegionSpec]:
@@ -282,12 +287,12 @@ def region_catalog(a: float, b: float) -> dict[str, RegionSpec]:
     of ``MIRROR`` are genuine cross-checks.
     The I cells sum to 11*(a*b)**4/864 and the J cells to (a*b)**3/6.
     """
-    domain = RectDomain(a, b)
+    a, b = _checked_sides(a, b)
     return {
         cell.name: cell
         for integrand, prefix in ((Integrand.SIGNED_AREA, "I"), (Integrand.ONE, "J"))
         for half in (_ascending_cells, _descending_cells)
-        for cell in half(domain, integrand, prefix)
+        for cell in half(a, b, integrand, prefix)
     }
 
 
@@ -295,29 +300,72 @@ class UnknownNameError(ValueError):
     """No reference value is catalogued under the requested name."""
 
 
-# Exact values at the unit square; general domains scale by a monomial.
-# Area-weighted cells carry (ab)^4, measures (ab)^3, the mean ab.
-_AREA_CELLS = {
+def _scaled_cells(kind: str, power: int, ascending: dict) -> dict:
+    """Reference entries of one kind of cell, from its five ascending values.
+
+    Each descending cell takes its mirror partner's value; ``kind + "15"``
+    sums the ascending five and ``kind * 2`` all ten.  Every value is
+    paired with ``power``: on an a x b rectangle it scales by (ab)**power.
+    """
+    cells = ascending | {f"{kind}{k}": ascending[f"{kind}{m}"] for k, m in MIRROR.items()}
+    cells |= {f"{kind}15": sum(ascending.values()), kind * 2: sum(cells.values())}
+    return {name: (value, power) for name, value in cells.items()}
+
+
+# name -> (exact value at the unit square, the power of ab that scales it
+# to an a x b rectangle), from the paper's cell tables: area-weighted cells
+# carry (ab)^4, measures (ab)^3, and the mean RESULT = I15/J15 carries ab
+_REFERENCES = _scaled_cells("I", 4, {
     "I1": Fraction(1, 34560),
     "I2": Fraction(23, 34560),
     "I3": Fraction(140, 34560),
     "I4": Fraction(19, 34560),
     "I5": Fraction(37, 34560),
-    "I15": Fraction(11, 1728),
-    "II": Fraction(11, 864),
-}
-_MEASURE_CELLS = {
+}) | _scaled_cells("J", 3, {
     "J1": Fraction(1, 432),
     "J2": Fraction(5, 432),
     "J3": Fraction(18, 432),
     "J4": Fraction(5, 432),
     "J5": Fraction(7, 432),
-    "J15": Fraction(1, 12),
-    "JJ": Fraction(1, 6),
-}
-# each descending cell takes its mirror partner's value
-_AREA_CELLS |= {f"I{k}": _AREA_CELLS[f"I{m}"] for k, m in MIRROR.items()}
-_MEASURE_CELLS |= {f"J{k}": _MEASURE_CELLS[f"J{m}"] for k, m in MIRROR.items()}
+})
+_REFERENCES["RESULT"] = (_REFERENCES["I15"][0] / _REFERENCES["J15"][0], 1)
+
+# The largest aspect ratio max(a, b) / min(a, b) the cells accept.  On a
+# grid of `randtri quad` runs at rel_tol 1e-6, at ab = 2e-76, 1 and 3e77
+# and both ways round, every row converged within its est_error up to an
+# aspect ratio of 2**256; from 2**400 on, rows at the extreme areas came
+# out wrong or infinite, and at ab = 1 an aspect ratio of 1e306 ran
+# without end.  2**64 keeps a wide margin below the first failure.
+_MAX_ASPECT = 2.0**64
+
+
+def _checked_sides(a, b) -> tuple[float, float]:
+    """The sides of an a x b rectangle, checked by the domain rule of the cells.
+
+    The sides pass ``RectDomain`` and are returned as its floats; the
+    aspect ratio must not exceed ``_MAX_ASPECT``; and every exact reference
+    of the catalog, read from ``_REFERENCES``, must round to a normal
+    binary64 float: not to 0 or a subnormal, and without overflow.  Raises
+    ValueError otherwise.
+    """
+    domain = RectDomain(a, b)
+    a, b = domain.a, domain.b
+    # scaling by a power of two is exact, so this compares the true ratio
+    if max(a, b) > _MAX_ASPECT * min(a, b):
+        raise ValueError(
+            f"domain a={a}, b={b}: the aspect ratio exceeds 2**{math.log2(_MAX_ASPECT):g}"
+        )
+    ab = Fraction(a) * Fraction(b)
+    for name, (value, power) in _REFERENCES.items():
+        try:
+            normal = float(value * ab**power) >= sys.float_info.min
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise ValueError(
+                f"domain a={a}, b={b}: the exact {name} is not a normal binary64 float"
+            )
+    return a, b
 
 
 def exact_reference(name: str, a=1, b=1) -> Fraction:
@@ -331,14 +379,10 @@ def exact_reference(name: str, a=1, b=1) -> Fraction:
     """
     RectDomain(a, b)  # raises ValueError for a bad side
     a, b = (side if isinstance(side, Rational) else float(side) for side in (a, b))
-    ab = Fraction(a) * Fraction(b)
-    if name in _AREA_CELLS:
-        return _AREA_CELLS[name] * ab**4
-    if name in _MEASURE_CELLS:
-        return _MEASURE_CELLS[name] * ab**3
-    if name == "RESULT":
-        return Fraction(11, 144) * ab
-    raise UnknownNameError(f"no reference value named {name!r}")
+    if name not in _REFERENCES:
+        raise UnknownNameError(f"no reference value named {name!r}")
+    value, power = _REFERENCES[name]
+    return value * (Fraction(a) * Fraction(b)) ** power
 
 
 def sample_in_region(

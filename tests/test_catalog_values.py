@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from randtri import quadrature
 from randtri.quadrature import (
     QuadConfig,
     interior_catalog,
@@ -242,3 +243,30 @@ class TestConvergence:
             for name, res in store.items():
                 truth = float(exact_reference(name))
                 assert abs(res.value - truth) <= max(res.est_error, 1e-12), name
+
+
+def catalog_bits(rows):
+    """Each row's value and est_error as float.hex, its evaluations and flag."""
+    return {r.name: (r.value.hex(), r.est_error.hex(), r.evaluations, r.converged)
+            for r in rows}
+
+
+class TestDepthCap:
+    # quadrature._MAX_DEPTH is a safeguard, not a setting: lowered from 12
+    # to 7 it changes no bit, evaluation count or flag of these runs, the
+    # report's unit-square cells and 2 x 3 catalog at 1e-4 and a
+    # non-square catalog at 1e-6, so none of their panels needs more than
+    # seven bisections
+    RUNS = {
+        "catalog-1.3x0.8-1e-6":
+            lambda: interior_catalog(1.3, 0.8, QuadConfig(rel_tol=1e-6)).values(),
+        "square-cells-1e-4":
+            lambda: [nested_quadrature(c, CFG) for c in region_catalog(1, 1).values()],
+        "catalog-2x3-1e-4": lambda: interior_catalog(2, 3, CFG).values(),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_lowered_cap_changes_no_bit(self, monkeypatch, run):
+        default = catalog_bits(self.RUNS[run]())
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 7)
+        assert catalog_bits(self.RUNS[run]()) == default

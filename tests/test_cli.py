@@ -35,8 +35,11 @@ def run_cli(argv, tty=False):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(*argv):
-    """Run `python -m randtri` on the package these tests imported."""
+def run_module(*argv, timeout=None):
+    """Run `python -m randtri` on the package these tests imported.
+
+    A run that outlives ``timeout`` seconds is killed and fails the test.
+    """
     src = str(Path(randtri.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
@@ -44,6 +47,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 
@@ -118,6 +122,38 @@ class TestQuad:
     def test_bad_tolerance_is_usage_error(self):
         code, _, _ = run_cli(["quad", "--rel-tol", "2"])
         assert code == 2
+
+    def test_max_depth_is_not_an_option(self):
+        code, _, err = run_cli(["quad", "--max-depth", "2"])
+        assert code == 2 and "--max-depth" in err
+
+    # extreme aspect ratios at which quad once ran for minutes past 1 GB
+    # (1e-154 x 1e154), printed zero and NaN rows, or exited 1 with
+    # unconverged or NaN rows; the domain rule of `regions` refuses each
+    # before any work.  A child that hangs is killed and fails the test
+    @pytest.mark.parametrize("a,b", [("1e-154", "1e154"), ("1e-300", "1e300"),
+                                     ("1e-75", "1e150"), ("1e-112", "1e188")])
+    def test_extreme_aspect_ratio_is_usage_error(self, a, b):
+        proc = run_module("quad", "--a", a, "--b", b, timeout=5)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error:") and "aspect ratio" in line
+
+    # the corners of the accepted region: the least and the greatest area
+    # ab = s * s at which every exact reference is a normal float, each at
+    # the aspect ratio bound 2**64, both ways round
+    @pytest.mark.parametrize("s", [1.2904458064987354e-38, 5.871236534543738e38],
+                             ids=["least-area", "greatest-area"])
+    @pytest.mark.parametrize("turn", [1, -1], ids=["tall", "wide"])
+    def test_domain_rule_corners_converge_within_est_error(self, s, turn):
+        a, b = s * 2.0 ** (-32 * turn), s * 2.0 ** (32 * turn)
+        argv = ["quad", "--a", repr(a), "--b", repr(b), "--rel-tol", "1e-6"]
+        rows = run_json(argv)["results"]
+        assert len(rows) == 13
+        for row in rows:
+            assert row["converged"] is True, row["region"]
+            assert abs(row["value"] - row["reference_value"]) <= row["est_error"], row
 
     # the catalog end to end through the CLI: a non-square rectangle at
     # 1e-6 and at 1e-9, where the smallest cells' tolerance nears the
@@ -249,7 +285,7 @@ class TestOutputModes:
 
     @pytest.mark.parametrize("argv, parameters, seed", [
         (["quad", "--region", "I1", "--rel-tol", "1e-3"],
-         {"a": 1.0, "b": 1.0, "region": "I1", "rel_tol": 1e-3, "max_depth": 12}, None),
+         {"a": 1.0, "b": 1.0, "region": "I1", "rel_tol": 1e-3}, None),
         (["mc", "--problem", "interior", "--n", "2000", "--b", "2"],
          {"problem": "interior", "n": 2000, "seed": 0, "chunks": 64, "threads": None,
           "a": 1.0, "b": 2.0}, 0),

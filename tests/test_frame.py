@@ -140,7 +140,7 @@ class TestSideCases:
         x1 = np.full_like(u, 0.4)
         base = _corner_areas(2, x1, u)
         for turns in (1, 2, 3):
-            rotated = _corner_areas(2, x1, u, quarter_turns=turns)
+            rotated = _corner_areas(2, x1, u, side=turns)
             for got, want in zip(rotated, base):
                 assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
@@ -184,21 +184,21 @@ class TestSideCases:
         assert side_case_value(1, np.int64(1)) == side_case_value(1, 1.0)
 
 
-def kink_roots(cases, x1s, quarter_turns=0):
+def kink_roots(cases, x1s, side=0):
     """The sweep's breakpoints: one row per x1, one column per (case, corner).
 
     NaN where that corner area has no root inside (0, 1).
     """
     return np.array([
         [np.nan if (root := _kink(a0, slope)) is None else root
-         for case in cases for a0, slope in _area_lines(case, x1, quarter_turns)]
+         for case in cases for a0, slope in _area_lines(case, x1, side)]
         for x1 in np.asarray(x1s).tolist()
     ])
 
 
-def piece_edges(case, x1, quarter_turns=0):
+def piece_edges(case, x1, side=0):
     """0, the distinct breakpoints of one case's sweep in order, and 1."""
-    roots = kink_roots((case,), [x1], quarter_turns)[0]
+    roots = kink_roots((case,), [x1], side)[0]
     return [0.0, *sorted(set(roots[~np.isnan(roots)].tolist())), 1.0]
 
 
@@ -227,7 +227,7 @@ class TestKinks:
     @pytest.mark.parametrize("turns", [0, 1])
     def test_corner_area_vanishes_at_its_root(self, turns):
         cases = (1, 2, 3, 4)
-        roots = kink_roots(cases, self.X1, quarter_turns=turns)
+        roots = kink_roots(cases, self.X1, side=turns)
         for col in range(roots.shape[1]):
             case, corner = cases[col // 4], col % 4
             hit = ~np.isnan(roots[:, col])
@@ -249,8 +249,8 @@ class TestKinks:
         u = np.linspace(0.0, 1.0, 9)
         for case in (1, 2, 3, 4):
             for x1 in self.X1.tolist():
-                lines = _area_lines(case, x1, quarter_turns=1)
-                want = _corner_areas(case, x1, u, quarter_turns=1)
+                lines = _area_lines(case, x1, side=1)
+                want = _corner_areas(case, x1, u, side=1)
                 got = [a0 + slope * u for a0, slope in lines]
                 assert np.allclose(got, want, rtol=0.0, atol=4 * EPS), case
 

@@ -1,5 +1,6 @@
 """Adaptive engine behavior on known integrals and hand-checkable regions."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -380,24 +381,20 @@ class TestGraded:
 class TestConfig:
     def test_defaults(self):
         cfg = QuadConfig()
-        assert cfg.rel_tol == 1e-4 and cfg.max_depth == 12
+        assert cfg.rel_tol == 1e-4
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
     def test_rejects_bad_rel_tol(self, bad):
         with pytest.raises(ValueError, match="rel_tol"):
             QuadConfig(rel_tol=bad)
 
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError, match="max_depth"):
-            QuadConfig(max_depth=0)
-
-    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "12"])
-    def test_rejects_non_integer_depth(self, bad):
-        with pytest.raises(ValueError, match="max_depth"):
-            QuadConfig(max_depth=bad)
-
-    def test_numpy_integer_depth_passes(self):
-        assert QuadConfig(max_depth=np.int64(3)).max_depth == 3
+    def test_depth_is_not_a_setting(self):
+        # the tolerance is the one field; the depth cap is quadrature's own
+        # _MAX_DEPTH (test_catalog_values.py::TestDepthCap lowers it to 7
+        # and sees no bit move)
+        assert [f.name for f in dataclasses.fields(QuadConfig)] == ["rel_tol"]
+        with pytest.raises(TypeError):
+            QuadConfig(max_depth=12)
 
 
 class TestNested:
@@ -466,10 +463,11 @@ class TestNested:
         assert res.converged
         assert res.value == 0.0
 
-    def test_depth_starved_region_reports_not_converged(self):
+    def test_depth_starved_region_reports_not_converged(self, monkeypatch):
         # I1, the smallest cell, needs more than one bisection per level
         # at 1e-9; its est_error owns up to the shortfall
-        cfg = QuadConfig(rel_tol=1e-9, max_depth=1)
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
+        cfg = QuadConfig(rel_tol=1e-9)
         res = nested_quadrature(rectangle_regions(1.0, 1.0)[0], cfg)
         assert res.est_error > cfg.rel_tol * abs(res.value)
         assert not res.converged
@@ -671,7 +669,8 @@ class TestKernel:
 
         monkeypatch.setattr(quadrature, "_analytic_kernel", counted_kernel)
         widths = record_rows(monkeypatch, quadrature)
-        nested_quadrature(region, QuadConfig(rel_tol=1e-3, max_depth=1))
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
+        nested_quadrature(region, QuadConfig(rel_tol=1e-3))
         y2_rounds = len(widths[3])
         assert y2_rounds > 1
         assert kernel_calls == y2_rounds

@@ -1,13 +1,15 @@
 """One real-number rule at every entrance that takes a real number.
 
 ``geometry._check_real`` is the rule: a finite ``numbers.Real`` passes and
-becomes a float; bools, strings, None, complex numbers, arrays, NaN and the
-infinities raise ValueError naming the parameter.  The table feeds every
-entrance the same bad values and the same kinds of good value, and a good
-value of any kind must give the same bits as the equal float.
+becomes a float; bools, strings, None, complex numbers, arrays, NaN, the
+infinities and ints beyond the float range raise ValueError naming the
+parameter.  The table feeds every entrance the same bad values and the same
+kinds of good value, and a good value of any kind must give the same bits as
+the equal float.
 """
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +57,8 @@ BAD = {
     "array": np.array([1.0]),
     "nan": math.nan,
     "inf": math.inf,
+    "1e400": 10**400,
+    "-1e400": -10**400,
 }
 
 KINDS = {"np.float64": np.float64, "np.float32": np.float32, "Fraction": Fraction}
@@ -64,7 +68,8 @@ KINDS = {"np.float64": np.float64, "np.float32": np.float32, "Fraction": Fractio
 @pytest.mark.parametrize("entrance", ENTRANCES)
 def test_rejects_non_real_and_non_finite(entrance, bad):
     call, name, _, _ = ENTRANCES[entrance]
-    nonfinite = isinstance(bad, float) and not math.isfinite(bad)
+    # NaN, the infinities and ints beyond the float range are real numbers
+    nonfinite = isinstance(bad, numbers.Real) and not isinstance(bad, bool)
     with pytest.raises(ValueError, match=f"{name} must be {'finite' if nonfinite else 'a real'}"):
         call(bad)
 
@@ -97,9 +102,12 @@ def test_numpy_integers_give_the_floats_bits(entrance):
         lambda: exact_reference("RESULT", -2, 1),
         lambda: exact_reference("I1", "2", 1),
         lambda: exact_reference("I1", math.inf, 1),
+        lambda: CubeDomain(Fraction(10**400, 3)),
+        lambda: QuadConfig(rel_tol=Fraction(10**400)),
     ],
     ids=["rect-bools", "cube-bool", "rect-str", "rel_tol-str", "rel_tol-array",
-         "catalog-str", "reference-negative", "reference-str", "reference-inf"],
+         "catalog-str", "reference-negative", "reference-str", "reference-inf",
+         "cube-huge-fraction", "rel_tol-huge-fraction"],
 )
 def test_once_accepted_or_mistyped_inputs_raise_value_error(call):
     # each of these once passed, or failed with TypeError or OverflowError

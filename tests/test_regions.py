@@ -1,5 +1,6 @@
 """Cell catalog structure, membership sampling, and exact reference values."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,43 @@ class TestCatalogStructure:
             assert len(env) == len(outer) + 1, name
             for fn, value in zip(coefficients, shared):
                 np.testing.assert_array_equal(value, fn(dict(outer)))
+
+
+class TestDomainRule:
+    # every builder of cells applies the one rule, so a library caller
+    # meets the same refusals as `randtri quad`
+    BUILDERS = {"catalog": region_catalog, "ascending": rectangle_regions,
+                "normalizers": normalizer_regions}
+    # the least and the greatest s whose square ab = s * s keeps every
+    # exact reference a normal float, at the aspect ratio bound 2**64
+    S_LEAST, S_GREATEST = 1.2904458064987354e-38, 5.871236534543738e38
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+    @pytest.mark.parametrize("a,b,reason", [
+        (1e-154, 1e154, "aspect ratio"),
+        (1e-300, 1e300, "aspect ratio"),
+        (1e-75, 1e150, "aspect ratio"),
+        (1e-112, 1e188, "aspect ratio"),
+        (1.0, math.nextafter(2.0**64, math.inf), "aspect ratio"),
+        (1e-40, 1e-40, "exact I1 is not a normal binary64 float"),
+        (1e39, 1e39, "is not a normal binary64 float"),
+    ], ids=["hang", "zero-rows", "unconverged-rows", "nan-rows", "past-bound",
+            "small-area", "large-area"])
+    def test_refuses_before_building(self, build, a, b, reason):
+        with pytest.raises(ValueError, match=reason):
+            build(a, b)
+        with pytest.raises(ValueError, match=reason):
+            build(b, a)
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+    def test_corners_are_accepted_and_one_step_past_refused(self, build):
+        for s in (self.S_LEAST, self.S_GREATEST):
+            for turn in (1, -1):
+                build(s * 2.0 ** (-32 * turn), s * 2.0 ** (32 * turn))
+        build(1.0, 2.0**64)
+        for s in (math.nextafter(self.S_LEAST, 0.0), math.nextafter(self.S_GREATEST, math.inf)):
+            with pytest.raises(ValueError, match="is not a normal binary64 float"):
+                build(s * 2.0**-32, s * 2.0**32)
 
 
 class TestSampling:
