@@ -146,11 +146,12 @@ _ABS_FLOOR = 1e-13
 
 _GAUSS2 = 0.5773502691896258  # 1/sqrt(3)
 
-# Bisections per panel that nested_quadrature allows on each level.  It is
-# a safeguard, not a setting: lowering it to 7 changes no bit of the
-# catalog runs the tests check, and the domain rule of ``regions`` keeps
-# out the extreme rectangles that once ran without end.  Read at call
-# time, so a test can lower it.
+# Bisections per panel that nested_quadrature allows on each level, and
+# adaptive_quad_batch's default.  It is a safeguard, not a setting:
+# lowering it to 7 changes no bit of the catalog runs the tests check, and
+# the domain rule of ``regions`` keeps out the extreme rectangles that once
+# ran without end.  nested_quadrature reads it at call time, so a test can
+# lower it.
 _MAX_DEPTH = 12
 
 
@@ -198,7 +199,7 @@ def adaptive_quad_batch(
     hi: np.ndarray,
     *,
     rel_tol: float,
-    max_depth: int = 12,
+    max_depth: int = _MAX_DEPTH,
     rule: tuple[np.ndarray, np.ndarray, np.ndarray] = GK15,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptively integrate a batch of 1-D integrals with one integrand.
