@@ -83,7 +83,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import _check_real
+from .geometry import _check_integer, _check_real
 from .regions import (
     Env,
     Integrand,
@@ -223,7 +223,9 @@ def adaptive_quad_batch(
     ``max(rel_tol * |value|, 1e-13)`` or its offending panels reach
     ``max_depth``; a depth-capped integral keeps its larger ``err``, so
     the caller sees the shortfall by comparing ``err`` with its tolerance.
+    ``max_depth`` must be an integer >= 0; 0 evaluates each interval once.
     """
+    max_depth = _check_integer(max_depth, "max_depth", 0)
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     m = lo.shape[0]

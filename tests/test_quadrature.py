@@ -396,6 +396,30 @@ class TestConfig:
         with pytest.raises(TypeError):
             QuadConfig(max_depth=12)
 
+    # the depth cap stays a keyword of adaptive_quad_batch, checked by the
+    # integer rule every route uses; 0 is a valid cap (no refinement)
+    @staticmethod
+    def _run_depth(max_depth):
+        return adaptive_quad_batch(
+            lambda ids, x: (np.sqrt(x), None), [0.0], [1.0],
+            rel_tol=1e-8, max_depth=max_depth,
+        )
+
+    def test_rejects_bad_depth(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            self._run_depth(-1)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "12"])
+    def test_rejects_non_integer_depth(self, bad):
+        with pytest.raises(ValueError, match="max_depth"):
+            self._run_depth(bad)
+
+    def test_numpy_integer_depth_passes(self):
+        (v3,), (e3,) = self._run_depth(3)
+        assert [x.item() for x in self._run_depth(np.int64(3))] == [v3, e3]
+        # sqrt's endpoint kink needs splits, so cap 0 stops short of cap 3
+        assert self._run_depth(0)[1][0] > e3
+
 
 class TestNested:
     def test_unit_box_volume(self):
