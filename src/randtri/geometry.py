@@ -8,13 +8,16 @@ The input checks that every route shares live here too, one rule per kind
 of number.  ``_check_real`` turns a finite real number into a float and
 ``_check_integer`` turns an integer in range into an int; numpy scalars
 pass both, bools pass neither, and a bad value raises ValueError naming
-the parameter.  Each caller keeps its own range.
+the parameter.  Each caller keeps its own range.  ``_rounds_to_normal``
+is the one binary64 range test the range rules of ``regions`` and
+``montecarlo`` share.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -44,6 +47,19 @@ def _check_real(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _rounds_to_normal(value) -> bool:
+    """Whether an int, Fraction or float rounds to a normal finite binary64 float.
+
+    Zero, subnormals, the infinities and NaN do not, nor does an int or
+    Fraction beyond the float range, whose ``float`` raises OverflowError.
+    """
+    try:
+        value = abs(float(value))
+    except OverflowError:
+        return False
+    return sys.float_info.min <= value <= sys.float_info.max
 
 
 def _check_integer(value: int, name: str, lo: int, hi: int | None = None) -> int:

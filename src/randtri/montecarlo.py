@@ -5,7 +5,8 @@ on the unit square's boundary (mean 5/32), and tetrahedra in a cube
 (mean TETRA_MEAN, about 0.01384 in the unit cube).  It is an
 independent check on the quadrature, enumeration, and closed-form routes,
 so nothing here shares code with those beyond the elementary area/volume
-formulas.
+formulas and the input checks.  The range rule of ``estimate`` reads
+``regions.exact_reference`` only to bound its inputs; no estimate uses it.
 
 Reproducibility contract: the estimate is a pure function of
 (problem, n, seed, chunks).  Each chunk draws from its own counter-based
@@ -38,13 +39,15 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
 from .frame import frame_xy
-from .geometry import (CubeDomain, RectDomain, _check_integer, signed_area_xy,
-                       signed_volume_xyz)
+from .geometry import (CubeDomain, RectDomain, _check_integer, _rounds_to_normal,
+                       signed_area_xy, signed_volume_xyz)
+from .regions import exact_reference
 
 __all__ = [
     "CubeTetrahedron",
@@ -171,6 +174,28 @@ def _chunk_moments(problem: Problem, count: int, seed: int, index: int,
     return count, mean, m2
 
 
+def _check_range(problem: Problem, n: int) -> None:
+    """Raise ValueError if the moments of n samples of ``problem`` may leave binary64.
+
+    ``peak`` bounds every intermediate of one sample: twice a signed area
+    sums three terms of at most ab each, a determinant six of at most
+    side**3.  So the sum of n squared deviations stays finite when
+    n * peak**2, taken exactly, does; the variance scales as mean**2.
+    """
+    if isinstance(problem, InteriorTriangle):
+        a, b = problem.domain.a, problem.domain.b
+        mean, peak = exact_reference("RESULT", a, b), 3 * Fraction(a) * Fraction(b)
+    elif isinstance(problem, FrameTriangle):
+        mean, peak = Fraction(5, 32), 3
+    else:
+        side = Fraction(problem.domain.side)
+        cube = side * side * side
+        mean, peak = Fraction(TETRA_MEAN) * cube, 6 * cube
+    if not (_rounds_to_normal(mean * mean) and _rounds_to_normal(n * peak * peak)):
+        raise ValueError(f"{problem} over n samples: the mean or the variance "
+                         "does not fit a binary64 float")
+
+
 def pool_size(threads: int | None, chunks: int) -> int:
     """Worker threads ``estimate`` runs: ``min(threads, chunks, CPU count)``.
 
@@ -196,7 +221,11 @@ def estimate(
     returned field.  n, chunks, seed and threads must be integers (numpy
     integers pass, bools do not) with n >= 2, 1 <= chunks <= n,
     0 <= seed < 2**64 and, when given, threads >= 1; anything else raises
-    ValueError.
+    ValueError.  So does, before any draw, a problem whose moments may
+    leave binary64: the square of the exact mean must be a normal float,
+    and n * peak**2 must be finite, where peak bounds every intermediate
+    of one sample (3ab for the interior, 3 for the frame, 6 side**3 for
+    the tetra).
     """
     n = _check_integer(n, "n", 2)
     chunks = _check_integer(chunks, "chunks", 1, n)
@@ -205,6 +234,7 @@ def estimate(
         threads = _check_integer(threads, "threads", 1)
     if not isinstance(problem, Problem):
         raise TypeError(f"unknown problem kind: {problem!r}")
+    _check_range(problem, n)
 
     base, extra = divmod(n, chunks)
     sizes = [base + (1 if i < extra else 0) for i in range(chunks)]

@@ -37,7 +37,6 @@ in it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -46,7 +45,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import RectDomain, _check_integer
+from .geometry import RectDomain, _check_integer, _rounds_to_normal
 
 __all__ = [
     "AffineBound",
@@ -357,11 +356,7 @@ def _checked_sides(a, b) -> tuple[float, float]:
         )
     ab = Fraction(a) * Fraction(b)
     for name, (value, power) in _REFERENCES.items():
-        try:
-            normal = float(value * ab**power) >= sys.float_info.min
-        except OverflowError:
-            normal = False
-        if not normal:
+        if not _rounds_to_normal(value * ab**power):
             raise ValueError(
                 f"domain a={a}, b={b}: the exact {name} is not a normal binary64 float"
             )

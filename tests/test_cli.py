@@ -409,3 +409,28 @@ class TestEntryPoints:
             assert proc.returncode == 0
             outputs.append(json.loads(proc.stdout)["results"])
         assert json.dumps(outputs[0]) == json.dumps(outputs[1])
+
+
+HUGE = str(10**400)
+# every numeric flag at its extreme: 10**400 for the integers, 1e400
+# (read as inf) and NaN for the reals
+EXTREMES = [
+    *(("mc", "--problem", problem, "--n", HUGE) for problem in ("interior", "frame", "tetra")),
+    *(("mc", "--problem", "interior", "--n", "1000", flag, HUGE)
+      for flag in ("--seed", "--chunks", "--threads")),
+    ("lattice", "--n", HUGE),
+    *(("quad", flag, value) for flag in ("--a", "--b", "--rel-tol") for value in ("1e400", "nan")),
+    *(("mc", "--problem", "interior", flag, value)
+      for flag in ("--a", "--b") for value in ("1e400", "nan")),
+]
+
+
+class TestExtremeFlags:
+    @pytest.mark.parametrize(
+        "argv", EXTREMES, ids=lambda argv: " ".join(argv).replace(HUGE, "10**400")
+    )
+    def test_exits_cleanly(self, argv):
+        proc = run_module(*argv, timeout=5)
+        # --threads is capped at the CPU count, so only it runs to the end
+        assert proc.returncode == (0 if "--threads" in argv else 2)
+        assert "Traceback" not in proc.stderr

@@ -2,8 +2,11 @@
 
 import functools
 import itertools
+import contextlib
+import io
 import math
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from randtri import montecarlo
+from randtri.cli import main
 from randtri.geometry import CubeDomain, RectDomain
 from randtri.montecarlo import (
     TETRA_MEAN,
@@ -272,6 +276,66 @@ class TestMemory:
         assert peak < 3 * 2**20, peak
 
 
+# the domains `randtri mc` refused before estimate held the range rule
+CLI_REFUSED = {
+    "interior-1e200": InteriorTriangle(RectDomain(1e200, 1e200)),
+    "interior-1e-200": InteriorTriangle(RectDomain(1e-200, 1e-200)),
+    "tetra-1e120": CubeTetrahedron(CubeDomain(1e120)),
+    "interior-1e150": InteriorTriangle(RectDomain(1e150, 1e150)),
+}
+
+# `randtri mc --n 100` refusals, captured before the range rule moved from
+# the CLI into estimate: row a, column b over GRID_SIDES, "x" refused
+GRID_SIDES = ("1e-200", "1e-160", "1e-154", "1e-150", "1", "1e150", "1e154", "1e200")
+INTERIOR_REFUSED = (
+    "xxxxx...",  # a = 1e-200
+    "xxxxx...",  # a = 1e-160
+    "xxxxx...",  # a = 1e-154
+    "xxxx....",  # a = 1e-150
+    "xxx...xx",  # a = 1
+    ".....xxx",  # a = 1e150
+    "....xxxx",  # a = 1e154
+    "....xxxx",  # a = 1e200
+)
+TETRA_SIDES = ("1e-110", "1e-100", "1", "1e100", "1e103", "1e110")
+TETRA_REFUSED = {"1e-110", "1e-100", "1e100", "1e103", "1e110"}
+
+# sides just inside and just outside each bound at n = 100: the square of
+# the mean, 11ab/144 or TETRA_MEAN side**3, must reach 2**-1022, and
+# 100 * peak**2, with peak 3ab or 6 side**3, must stay below 2**1024
+TETRA_LOW = (2.0**-511 / TETRA_MEAN) ** (1 / 3)
+TETRA_HIGH = (2.0**512 / 60) ** (1 / 3)
+BOUNDS = {
+    "interior-low": ((1.0, 13.1 * 2.0**-511), (1.0, 13.0 * 2.0**-511)),
+    "interior-high": ((2.0**512 / 30.1, 1.0), (2.0**512 / 29.9, 1.0)),
+    "tetra-low": ((1.001 * TETRA_LOW,), (0.999 * TETRA_LOW,)),
+    "tetra-high": ((0.999 * TETRA_HIGH,), (1.001 * TETRA_HIGH,)),
+}
+
+
+def _problem(*sides):
+    if len(sides) == 2:
+        return InteriorTriangle(RectDomain(*sides))
+    return CubeTetrahedron(CubeDomain(*sides))
+
+
+def _refused_by_estimate(problem) -> bool:
+    try:
+        estimate(problem, 100, seed=0)
+    except ValueError as exc:
+        assert "binary64" in str(exc)
+        return True
+    return False
+
+
+def _refused_by_cli(*argv) -> bool:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["mc", "--n", "100", *argv])
+    assert code in (0, 2) and (code == 0 or "binary64" in err.getvalue())
+    return code == 2
+
+
 class TestValidation:
     def test_rejects_tiny_runs(self):
         with pytest.raises(ValueError):
@@ -321,6 +385,48 @@ class TestValidation:
             InteriorTriangle(RectDomain(-1.0, 1.0))
         with pytest.raises(ValueError):
             CubeTetrahedron(CubeDomain(0.0))
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("estimate drew samples")
+
+        monkeypatch.setattr(montecarlo, "_substream", fail)
+
+    @pytest.mark.parametrize("name", CLI_REFUSED)
+    def test_refuses_the_cli_domains(self, no_draws, name):
+        with pytest.raises(ValueError, match="binary64"):
+            estimate(CLI_REFUSED[name], 100, seed=0)
+
+    @pytest.mark.parametrize("kind", PROBLEMS)
+    def test_refuses_n_beyond_the_float_range(self, no_draws, kind):
+        # n * peak**2 is taken exactly, so a huge n raises no OverflowError
+        with pytest.raises(ValueError, match="binary64"):
+            estimate(PROBLEMS[kind], 10**400, seed=0)
+
+    def test_refuses_the_same_grid_as_before(self):
+        refused = {
+            (a, b) for a, row in zip(GRID_SIDES, INTERIOR_REFUSED)
+            for b, mark in zip(GRID_SIDES, row) if mark == "x"
+        }
+        grid = [(a, b) for a in GRID_SIDES for b in GRID_SIDES]
+        assert {(a, b) for a, b in grid
+                if _refused_by_estimate(_problem(float(a), float(b)))} == refused
+        assert {(a, b) for a, b in grid
+                if _refused_by_cli("--problem", "interior", "--a", a, "--b", b)} == refused
+        assert {s for s in TETRA_SIDES
+                if _refused_by_estimate(_problem(float(s)))} == TETRA_REFUSED
+        assert {s for s in TETRA_SIDES
+                if _refused_by_cli("--problem", "tetra", "--a", s)} == TETRA_REFUSED
+
+    @pytest.mark.parametrize("name", BOUNDS)
+    def test_accepts_just_inside_each_bound(self, name):
+        inside, outside = BOUNDS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = estimate(_problem(*inside), 100, seed=0)
+        assert math.isfinite(res.mean) and res.stderr > 0
+        assert _refused_by_estimate(_problem(*outside))
 
 
 class TestResultType:
