@@ -30,7 +30,6 @@ from .montecarlo import (
     estimate,
 )
 from .quadrature import (
-    DegenerateRegionError,
     QuadConfig,
     RegionResult,
     interior_catalog,
@@ -40,7 +39,6 @@ from .regions import (
     AffineBound,
     Integrand,
     RegionSpec,
-    UnknownNameError,
     exact_reference,
     normalizer_regions,
     rectangle_regions,

@@ -8,13 +8,14 @@ suite).  Each run emits one ``RunRecord``: the subcommand, its parameters
 whole command after argument parsing, validation included), the package
 version and the Monte Carlo seed (``None`` for the other commands).
 Machine consumers get it as one newline-delimited JSON record on a pipe;
-humans get an aligned table on a TTY.
+humans get an aligned table on a TTY.  ``report --out`` writes the same
+JSON line to its file as well, whatever stdout is.
 
 Exit codes: 0 success, 1 accuracy or acceptance failure, 2 usage error
 (a failed ``--out`` write included, a ``quad`` rectangle that breaks the
 domain rule of ``regions``, and an ``mc`` run that breaks the range rule
 of ``montecarlo.estimate``).  Every numeric rule lives in the library;
-the CLI turns its ValueError into exit 2.
+each refusal there is a plain ValueError, which the CLI turns into exit 2.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .geometry import CubeDomain, RectDomain
 from .lattice import enumerate_mean_area
 from .montecarlo import CubeTetrahedron, FrameTriangle, InteriorTriangle, estimate
 from .quadrature import QuadConfig, RegionResult, interior_catalog, nested_quadrature
-from .regions import UnknownNameError, exact_reference, region_catalog
+from .regions import exact_reference, region_catalog
 from .report import run_report
 
 __all__ = ["RunRecord", "main"]
@@ -60,7 +61,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(record: RunRecord) -> None:
+def _emit(record: RunRecord, line: str) -> None:
     if sys.stdout.isatty():
         rows = record.results
         if rows:
@@ -78,7 +79,7 @@ def _emit(record: RunRecord) -> None:
             tail += f" seed={record.seed}"
         print(tail)
     else:
-        print(json.dumps(dataclasses.asdict(record)))
+        print(line)
 
 
 def _quad_row(res: RegionResult, a: float, b: float) -> dict:
@@ -101,7 +102,7 @@ def _cmd_quad(args: argparse.Namespace) -> tuple[list, int]:
     cfg = QuadConfig(rel_tol=args.rel_tol)
     summed = args.region == "all"
     if not summed and args.region not in cells:
-        raise UnknownNameError(f"unknown region {args.region!r}")
+        raise ValueError(f"unknown region {args.region!r}")
     if summed:
         results = interior_catalog(args.a, args.b, cfg).values()
     else:
@@ -202,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lattice.set_defaults(func=_cmd_lattice)
 
     report = sub.add_parser("report", help="run the full acceptance suite")
-    report.add_argument("--out", default=None, help="also write the report JSON here")
+    report.add_argument("--out", default=None,
+                        help="also write the run record here: the JSON line a pipe gets")
     report.set_defaults(func=_cmd_report)
 
     return parser
@@ -227,16 +229,11 @@ def main(argv: list[str] | None = None) -> int:
                 version=__version__,
                 seed=getattr(args, "seed", None),
             )
-            _emit(record)
+            line = json.dumps(dataclasses.asdict(record))
+            _emit(record, line)
             if out:
-                payload = {
-                    "version": __version__,
-                    "all_pass": code == EXIT_OK,
-                    "wall_time_s": record.wall_time_s,
-                    "criteria": rows,
-                }
                 with _out_errors(out):
-                    print(json.dumps(payload, indent=2), file=fh)
+                    print(line, file=fh)
                     fh.close()  # inside, so a failed flush is reported too
         return code
     except ValueError as exc:

@@ -43,6 +43,8 @@ of the per-case sums by 16 yields the mean, 5/32.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .geometry import _check_integer, _check_real, signed_area_xy
@@ -51,6 +53,7 @@ from .quadrature import _GAUSS2, QuadConfig, _ordered_sum
 from .quadrature import adaptive_quad_batch  # noqa: F401
 
 __all__ = [
+    "FRAME_MEAN",
     "SIDE_CASE_FORMS",
     "expected_area_frame",
     "frame_xy",
@@ -71,6 +74,9 @@ _CORNER_FLOATS, _STEP_FLOATS = _CORNERS.tolist(), _STEPS.tolist()
 # 2-node Gauss-Legendre rule on [0, 1] as (nodes, weights): exact for
 # polynomials of degree at most 3
 _GAUSS_LEGENDRE_2 = ((0.5 - 0.5 * _GAUSS2, 0.5 + 0.5 * _GAUSS2), (0.5, 0.5))
+
+# the exact mean area of a triangle with vertices uniform on the boundary
+FRAME_MEAN = Fraction(5, 32)
 
 # closed form of side_case_value(case, x1) for each side case
 SIDE_CASE_FORMS = {

@@ -67,7 +67,8 @@ def _check_integer(value: int, name: str, lo: int, hi: int | None = None) -> int
 
     Every route checks its integer inputs here.  Numpy integers pass; bools
     and non-integral values, floats such as 3.0 included, raise ValueError,
-    as does a value outside the range.
+    as does a value outside the range.  Its message names the parameter and
+    the range, and gives an int too long for ``str`` by its bit length.
     """
     # a plain int skips the numbers.Integral test, which costs about 0.4 us
     if type(value) is not int:
@@ -75,8 +76,14 @@ def _check_integer(value: int, name: str, lo: int, hi: int | None = None) -> int
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if value < lo or (hi is not None and value > hi):
-        bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
-        raise ValueError(f"need {bounds}, got {value}")
+        def text(v: int) -> str:
+            try:
+                return str(v)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                return f"{'a negative' if v < 0 else 'an'} int of {v.bit_length()} bits"
+
+        bounds = f"{name} >= {text(lo)}" if hi is None else f"{text(lo)} <= {name} <= {text(hi)}"
+        raise ValueError(f"need {bounds}, got {text(value)}")
     return value
 
 

@@ -44,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .frame import frame_xy
+from .frame import FRAME_MEAN, frame_xy
 from .geometry import (CubeDomain, RectDomain, _check_integer, _rounds_to_normal,
                        signed_area_xy, signed_volume_xyz)
 from .regions import exact_reference
@@ -186,7 +186,7 @@ def _check_range(problem: Problem, n: int) -> None:
         a, b = problem.domain.a, problem.domain.b
         mean, peak = exact_reference("RESULT", a, b), 3 * Fraction(a) * Fraction(b)
     elif isinstance(problem, FrameTriangle):
-        mean, peak = Fraction(5, 32), 3
+        mean, peak = FRAME_MEAN, 3
     else:
         side = Fraction(problem.domain.side)
         cube = side * side * side

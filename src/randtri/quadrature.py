@@ -93,7 +93,6 @@ from .regions import (
 )
 
 __all__ = [
-    "DegenerateRegionError",
     "QuadConfig",
     "RegionResult",
     "adaptive_quad_batch",
@@ -153,10 +152,6 @@ _GAUSS2 = 0.5773502691896258  # 1/sqrt(3)
 # ran without end.  nested_quadrature reads it at call time, so a test can
 # lower it.
 _MAX_DEPTH = 12
-
-
-class DegenerateRegionError(ValueError):
-    """The outermost integration interval of a region is empty."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,7 +446,7 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
     3.5e-9 (I1 at rel_tol 1e-12 reports converged with est_error 2.06e-14,
     7.1e-10 * |value|).
 
-    Raises DegenerateRegionError when the outermost interval is empty.
+    Raises ValueError when the outermost interval is empty.
     Intermediate empty intervals (bounds crossing through rounding at
     region corners) contribute zero, as they correspond to measure-zero
     slivers.
@@ -466,7 +461,7 @@ def nested_quadrature(region: RegionSpec, cfg: QuadConfig = QuadConfig()) -> Reg
         lo = np.broadcast_to(np.asarray(lo_fn(env), dtype=float), m)
         hi = np.broadcast_to(np.asarray(hi_fn(env), dtype=float), m)
         if k == 0 and hi[0] <= lo[0]:
-            raise DegenerateRegionError(
+            raise ValueError(
                 f"region {region.name!r}: outermost interval [{lo[0]}, {hi[0]}] is empty"
             )
         rule, change = _LEVELS[name]

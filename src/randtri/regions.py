@@ -53,7 +53,6 @@ __all__ = [
     "Integrand",
     "MIRROR",
     "RegionSpec",
-    "UnknownNameError",
     "VAR_ORDER",
     "exact_reference",
     "normalizer_regions",
@@ -295,10 +294,6 @@ def region_catalog(a: float, b: float) -> dict[str, RegionSpec]:
     }
 
 
-class UnknownNameError(ValueError):
-    """No reference value is catalogued under the requested name."""
-
-
 def _scaled_cells(kind: str, power: int, ascending: dict) -> dict:
     """Reference entries of one kind of cell, from its five ascending values.
 
@@ -375,7 +370,7 @@ def exact_reference(name: str, a=1, b=1) -> Fraction:
     RectDomain(a, b)  # raises ValueError for a bad side
     a, b = (side if isinstance(side, Rational) else float(side) for side in (a, b))
     if name not in _REFERENCES:
-        raise UnknownNameError(f"no reference value named {name!r}")
+        raise ValueError(f"no reference value named {name!r}")
     value, power = _REFERENCES[name]
     return value * (Fraction(a) * Fraction(b)) ** power
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frame import SIDE_CASE_FORMS, expected_area_frame, side_case_value
+from .frame import FRAME_MEAN, SIDE_CASE_FORMS, expected_area_frame, side_case_value
 from .geometry import signed_area_xy
 from .lattice import enumerate_mean_area
 from .montecarlo import (
@@ -36,7 +36,6 @@ __all__ = ["CRITERIA", "run_criterion", "run_report"]
 
 _CFG = QuadConfig()
 _QUAD_REL = 2e-4  # relative bound on every quadrature constant
-_FRAME_MEAN = Fraction(5, 32)
 
 
 class Verdict(NamedTuple):
@@ -138,17 +137,17 @@ def _frame_polynomials() -> Verdict:
     )
     mean = expected_area_frame()
     return Verdict(
-        f"four closed-form polynomials; mean {_FRAME_MEAN}",
+        f"four closed-form polynomials; mean {FRAME_MEAN}",
         f"max polynomial deviation {worst_poly:.3e}; mean {mean!r}",
-        f"{bound:.0e} absolute per polynomial; mean exactly {float(_FRAME_MEAN)!r}",
-        worst_poly <= bound and mean == float(_FRAME_MEAN),
+        f"{bound:.0e} absolute per polynomial; mean exactly {float(FRAME_MEAN)!r}",
+        worst_poly <= bound and mean == float(FRAME_MEAN),
     )
 
 
 def _lattice_exactness() -> Verdict:
     limit_s = 5.0
     # the frozen n = 10 value, and the law 5/32 - 1/(16n^2) at scale
-    cases = {10: Fraction(249, 1600), 1000: _FRAME_MEAN - Fraction(1, 16 * 1000**2)}
+    cases = {10: Fraction(249, 1600), 1000: FRAME_MEAN - Fraction(1, 16 * 1000**2)}
     lines = []
     ok = True
     for n, exact in cases.items():
@@ -168,7 +167,7 @@ def _monte_carlo_consistency() -> Verdict:
     n, seed, z_max, limit_s = 10_000_000, 42, 5.0, 30.0
     problems = (
         ("interior", InteriorTriangle(), exact_reference("RESULT")),
-        ("frame", FrameTriangle(), _FRAME_MEAN),
+        ("frame", FrameTriangle(), FRAME_MEAN),
         ("tetra", CubeTetrahedron(), TETRA_MEAN),
     )
     lines = []
@@ -187,7 +186,7 @@ def _monte_carlo_consistency() -> Verdict:
 
 
 def _interior_frame_ratio() -> Verdict:
-    exact = exact_reference("RESULT") / _FRAME_MEAN
+    exact = exact_reference("RESULT") / FRAME_MEAN
     rows, _ = _unit_square_catalog()
     ratio = rows["RESULT"].value / expected_area_frame()
     dev = _rel(ratio, exact)

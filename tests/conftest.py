@@ -22,8 +22,9 @@ settings.load_profile("suite")
 def full_report(tmp_path_factory):
     """One in-process `randtri report --out` run, shared by the tests.
 
-    Holds the exit code, the printed record, the written file and the
-    regions passed to ``nested_quadrature`` during the run, in call order.
+    Holds the exit code, the printed line and its record, the written file
+    and the regions passed to ``nested_quadrature`` during the run, in call
+    order.
     """
     calls = []
     nested = quadrature.nested_quadrature
@@ -42,6 +43,7 @@ def full_report(tmp_path_factory):
             code = main(["report", "--out", str(out_file)])
     return SimpleNamespace(
         code=code,
+        stdout=out.getvalue(),
         record=json.loads(out.getvalue()),
         out_file=out_file,
         calls=calls,

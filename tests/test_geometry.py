@@ -119,9 +119,10 @@ class TestValidation:
         assert got == 3 and type(got) is int
 
     @pytest.mark.parametrize(
-        "value", [True, False, np.True_, 3.0, 2.5, np.float64(3), "3", None, 0, 5],
+        "value", [True, False, np.True_, 3.0, 2.5, np.float64(3), "3", None, 0, 5,
+                  -10**5000, 10**5000],
         ids=["True", "False", "np.True_", "3.0", "2.5", "np.float64", "str", "None",
-             "below", "above"])
+             "below", "above", "huge-below", "huge-above"])
     def test_integer_check_rejects(self, value):
         with pytest.raises(ValueError, match="k"):
             _check_integer(value, "k", 1, 4)

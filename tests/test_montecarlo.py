@@ -369,6 +369,22 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             estimate(PROBLEMS["interior"], kwargs.pop("n"), **kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 100, "chunks": 10**5000},
+         "need 1 <= chunks <= 100, got an int of 16610 bits"),
+        ({"n": 10**5000, "chunks": 0},
+         "need 1 <= chunks <= an int of 16610 bits, got 0"),
+        ({"n": 100, "seed": 10**5000},
+         "need 0 <= seed <= 18446744073709551615, got an int of 16610 bits"),
+        ({"n": -10**5000}, "need n >= 2, got a negative int of 16610 bits"),
+    ], ids=["chunks", "n-as-bound", "seed", "negative-n"])
+    def test_huge_ints_keep_the_rule_message(self, kwargs, message):
+        # str() refuses an int of more than 4,300 digits, so the rule's own
+        # message gives such a value or bound by its bit length
+        with pytest.raises(ValueError) as exc:
+            estimate(PROBLEMS["frame"], **kwargs)
+        assert str(exc.value) == message
+
     def test_numpy_integers_give_the_same_bytes(self):
         ref = estimate(PROBLEMS["frame"], 10_000, seed=12345, chunks=8, threads=2)
         got = estimate(PROBLEMS["frame"], np.int64(10_000), seed=np.uint64(12345),

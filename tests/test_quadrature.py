@@ -11,7 +11,6 @@ from randtri import frame, quadrature
 from randtri.quadrature import (
     GK7,
     GK15,
-    DegenerateRegionError,
     QuadConfig,
     RegionResult,
     adaptive_quad_batch,
@@ -470,8 +469,9 @@ class TestNested:
     def test_degenerate_outer_interval_raises(self):
         spans = [(1.0, 0.0)] + [(0.0, 1.0)] * 5
         region = box_region("deg", Integrand.ONE, spans)
-        with pytest.raises(DegenerateRegionError, match="deg"):
+        with pytest.raises(ValueError, match="deg") as exc:
             nested_quadrature(region)
+        assert type(exc.value) is ValueError
 
     def test_empty_inner_levels_contribute_zero(self):
         rows = [
